@@ -90,41 +90,6 @@ impl ThresholdController {
     }
 }
 
-/// The controller FSM decomposed for the lane path (see [`crate::lane`]),
-/// where each field lives in its own per-lane array.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ControllerParts {
-    pub(crate) last: Option<ControlAction>,
-    pub(crate) reduce_cycles: u64,
-    pub(crate) increase_cycles: u64,
-    pub(crate) reduce_events: u64,
-    pub(crate) increase_events: u64,
-}
-
-impl ThresholdController {
-    /// Decomposes into lane-transposable parts.
-    pub(crate) fn into_lane_parts(self) -> ControllerParts {
-        ControllerParts {
-            last: self.last,
-            reduce_cycles: self.reduce_cycles,
-            increase_cycles: self.increase_cycles,
-            reduce_events: self.reduce_events,
-            increase_events: self.increase_events,
-        }
-    }
-
-    /// Reassembles a controller from lane parts.
-    pub(crate) fn from_lane_parts(p: ControllerParts) -> ThresholdController {
-        ThresholdController {
-            last: p.last,
-            reduce_cycles: p.reduce_cycles,
-            increase_cycles: p.increase_cycles,
-            reduce_events: p.reduce_events,
-            increase_events: p.increase_events,
-        }
-    }
-}
-
 impl voltctl_snap::Pack for ControlAction {
     fn pack(&self, w: &mut voltctl_snap::ByteWriter) {
         w.put_u8(match self {

@@ -1,14 +1,8 @@
 //! Batched lockstep execution of many [`ControlLoop`]s (the lane path).
 //!
-//! A grid experiment steps hundreds of independent control loops, and the
-//! scalar profile is dominated by [`Cpu::step`] (~75% of per-cycle cost)
-//! with the control-side bookkeeping spread across small heap-scattered
-//! objects. [`LaneLoop`] transposes W loops into structure-of-arrays
-//! state — PDN state-space coefficients in [`PdnLanes`], sensor delay
-//! pipelines in one flat ring, controller FSM fields in per-field arrays
-//! — and steps all lanes in lockstep with branch-minimized passes.
-//!
-//! The big win, though, is **CPU sharing**: the simulator is fully
+//! A grid experiment steps hundreds of independent control loops, and
+//! [`Cpu::step`] is most of each loop's cycle. [`LaneLoop`] steps W loops
+//! in lockstep and wins by **CPU sharing**: the simulator is fully
 //! deterministic, so two lanes whose CPUs are byte-identical (same
 //! program, configuration, architectural and microarchitectural state —
 //! including clock-gating) and whose power models are
@@ -20,15 +14,22 @@
 //! single group for the whole run, and each controlled lane rides along
 //! until its first intervention.
 //!
+//! Everything after the CPU and power model — PDN, monitor, histogram,
+//! energy, sensor, controller, actuator, band counters, sample trace —
+//! is each lane's own `PostCpu` state (in `loopsim`), stepped through the
+//! same supply and control halves that [`ControlLoop::step`] runs. Bitwise identity
+//! with the scalar path therefore holds by construction; the differential
+//! oracle in `tests/oracle_lanes.rs` guards the grouping around it.
+//!
 //! # Divergence-exit rules
 //!
-//! * **Gating divergence**: at the end of each cycle every lane's desired
-//!   gating is reduced to a 6-bit mask (actuation is absolute — the
-//!   actuator always releases everything first, so the mask is a pure
-//!   function of the controller action and scope). Lanes in a group are
-//!   partitioned by mask; the first partition keeps the group's CPU,
-//!   every other partition *forks* a clone. Groups split and never
-//!   merge.
+//! * **Gating divergence**: every cycle each controlled lane reports the
+//!   [`GatingState`] its actuator commands for the next cycle (actuation
+//!   is absolute — the actuator always releases everything first — so
+//!   the state depends only on the action and the actuator). Lanes in a
+//!   group are partitioned by that state; the first partition keeps the
+//!   group's CPU, every other partition *forks* a clone. Groups split and
+//!   never merge.
 //! * **Lane exit**: a lane leaves the lockstep the moment its cycle
 //!   budget is spent or its program finishes; its outcome (report +
 //!   architectural digest) is materialized at that boundary, and a CPU
@@ -37,31 +38,12 @@
 //! * **Unsupported observers**: loops carrying a live recorder or tracer
 //!   never enter the lane path (those observers fire in scalar step
 //!   order); the engine falls back to the scalar path for such cells.
-//!   The in-memory [`LoopSample`] trace *is* supported — samples are
-//!   scattered per lane in scalar order.
-//!
-//! Bitwise identity with the scalar path is a hard contract, enforced by
-//! the differential oracle in `tests/oracle_lanes.rs`: per lane, every
-//! f64 operation happens in exactly the order [`ControlLoop::step`]
-//! performs it, including the *conditional* sensor-noise RNG draw.
+//!   The in-memory [`LoopSample`] trace *is* supported — it is part of
+//!   each lane's post-CPU state.
 
-use std::collections::VecDeque;
-
-use crate::actuator::AsymmetricActuator;
-use crate::controller::{ControlAction, ControllerParts, ThresholdController};
-use crate::loopsim::{power_fingerprint, ControlLoop, LaneParts, LoopReport, LoopSample};
-use crate::sensor::{SensorParts, SensorReading, ThresholdSensor};
+use crate::loopsim::{power_fingerprint, ControlLoop, LoopReport, LoopSample, PostCpu};
 use voltctl_cpu::{Cpu, GatingState};
-use voltctl_pdn::{PdnLanes, VoltageHistogram, VoltageMonitor};
-use voltctl_power::{EnergyAccumulator, PowerModel};
-use voltctl_telemetry::Rng;
-
-/// Gating-mask sentinel for lanes that issued no command this cycle
-/// (uncontrolled lanes): keep whatever gating the group already has.
-const MASK_KEEP: u8 = 0x40;
-
-/// `ctrl_last` encoding: the controller has never decided.
-const LAST_NEVER: u8 = 0;
+use voltctl_power::PowerModel;
 
 /// A lane's materialized end-of-run result.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,11 +61,31 @@ pub struct LaneOutcome {
 struct LaneGroup {
     cpu: Cpu,
     power: PowerModel,
-    vdd: f64,
     lanes: Vec<usize>,
 }
 
-/// W control loops in structure-of-arrays layout, stepped in lockstep.
+/// One lane: its own post-CPU state and its place in the lockstep.
+#[derive(Debug)]
+struct Lane {
+    post: PostCpu,
+    group: usize,
+    budget: u64,
+    /// The gating this lane's controller commanded for the next cycle;
+    /// `None` for an uncontrolled lane, which keeps its group's.
+    next: Option<GatingState>,
+    /// The lane's CPU, cloned off its group when the lane exits.
+    parked: Option<Cpu>,
+    outcome: Option<LaneOutcome>,
+}
+
+impl Lane {
+    /// The gating this lane wants its CPU to run next cycle.
+    fn wants(&self, current: GatingState) -> GatingState {
+        self.next.unwrap_or(current)
+    }
+}
+
+/// W control loops stepped in lockstep over shared CPUs.
 ///
 /// Build one with [`gather`](LaneLoop::gather), drive it with
 /// [`run`](LaneLoop::run) or [`step_all`](LaneLoop::step_all), then read
@@ -91,115 +93,14 @@ struct LaneGroup {
 /// [`into_loops`](LaneLoop::into_loops) / [`save_lane`](LaneLoop::save_lane).
 #[derive(Debug)]
 pub struct LaneLoop {
-    // Lane-indexed supply/observer state.
-    pdn: PdnLanes,
-    monitor: Vec<VoltageMonitor>,
-    histogram: Vec<VoltageHistogram>,
-    energy: Vec<EnergyAccumulator>,
-    // Sensor state, field-major. `has_sensor` gates the whole block;
-    // the delay pipelines live in one flat ring (`ring[ring_off[l]..
-    // ring_off[l]+ring_cap[l]]`, head = oldest entry).
-    has_sensor: Vec<bool>,
-    sens_v_low: Vec<f64>,
-    sens_v_high: Vec<f64>,
-    sens_noise_v: Vec<f64>,
-    sens_rng: Vec<Rng>,
-    ring: Vec<f64>,
-    ring_off: Vec<usize>,
-    ring_cap: Vec<usize>,
-    ring_head: Vec<usize>,
-    // Controller FSM, field-major. `ctrl_last`: 0 = never decided,
-    // 1 = None, 2 = ReduceCurrent, 3 = IncreaseCurrent.
-    ctrl_last: Vec<u8>,
-    reduce_cycles: Vec<u64>,
-    increase_cycles: Vec<u64>,
-    reduce_events: Vec<u64>,
-    increase_events: Vec<u64>,
-    actuator: Vec<AsymmetricActuator>,
-    cycles_in_low: Vec<u64>,
-    cycles_in_normal: Vec<u64>,
-    cycles_in_high: Vec<u64>,
-    trace: Vec<Option<Vec<LoopSample>>>,
-    // Execution bookkeeping.
+    lanes: Vec<Lane>,
     groups: Vec<LaneGroup>,
-    lane_group: Vec<usize>,
-    budget: Vec<u64>,
-    parked: Vec<Option<Cpu>>,
-    outcome: Vec<Option<LaneOutcome>>,
-    // Per-cycle scratch, lane-indexed.
-    active: Vec<usize>,
-    scratch_watts: Vec<f64>,
-    scratch_amps: Vec<f64>,
-    scratch_volts: Vec<f64>,
-    scratch_pre_mask: Vec<u8>,
-    scratch_mask: Vec<u8>,
-}
-
-/// Reduces a gating state to its 6-bit mask.
-fn mask_of(g: GatingState) -> u8 {
-    (g.gate_fu as u8)
-        | (g.gate_dl1 as u8) << 1
-        | (g.gate_il1 as u8) << 2
-        | (g.phantom_fu as u8) << 3
-        | (g.phantom_dl1 as u8) << 4
-        | (g.phantom_il1 as u8) << 5
-}
-
-/// Sets a gating state to exactly the bits of `mask`. Equivalent to
-/// `AsymmetricActuator::apply` for the action/scope that produced the
-/// mask: apply always starts from `release_all`, so the result carries
-/// no dependence on the prior state.
-fn apply_mask(g: &mut GatingState, mask: u8) {
-    g.gate_fu = mask & 1 != 0;
-    g.gate_dl1 = mask & 2 != 0;
-    g.gate_il1 = mask & 4 != 0;
-    g.phantom_fu = mask & 8 != 0;
-    g.phantom_dl1 = mask & 16 != 0;
-    g.phantom_il1 = mask & 32 != 0;
-}
-
-/// The gating mask `actuator.apply(action, ..)` would leave behind.
-fn desired_mask(actuator: &AsymmetricActuator, action: ControlAction) -> u8 {
-    let scope_mask = |scope: crate::actuator::ActuationScope, shift: u32| -> u8 {
-        let mut m = 0u8;
-        for &d in scope.domains() {
-            m |= match d {
-                voltctl_cpu::Domain::Fu => 1,
-                voltctl_cpu::Domain::Dl1 => 2,
-                voltctl_cpu::Domain::Il1 => 4,
-            } << shift;
-        }
-        m
-    };
-    match action {
-        ControlAction::None => 0,
-        ControlAction::ReduceCurrent => scope_mask(actuator.reduce, 0),
-        ControlAction::IncreaseCurrent => scope_mask(actuator.increase, 3),
-    }
-}
-
-fn encode_last(last: Option<ControlAction>) -> u8 {
-    match last {
-        None => LAST_NEVER,
-        Some(ControlAction::None) => 1,
-        Some(ControlAction::ReduceCurrent) => 2,
-        Some(ControlAction::IncreaseCurrent) => 3,
-    }
-}
-
-fn decode_last(code: u8) -> Option<ControlAction> {
-    match code {
-        LAST_NEVER => None,
-        1 => Some(ControlAction::None),
-        2 => Some(ControlAction::ReduceCurrent),
-        _ => Some(ControlAction::IncreaseCurrent),
-    }
 }
 
 impl LaneLoop {
-    /// Transposes `loops` into lane state, assigning each lane the cycle
-    /// budget in `budgets` (a lane exits once it has stepped that many
-    /// cycles, or earlier when its program finishes — exactly
+    /// Gathers `loops` into lanes, assigning each lane the cycle budget
+    /// in `budgets` (a lane exits once it has stepped that many cycles,
+    /// or earlier when its program finishes — exactly
     /// [`ControlLoop::step_n`] semantics).
     ///
     /// Lanes whose CPUs are byte-identical and whose power models are
@@ -210,56 +111,22 @@ impl LaneLoop {
     /// Panics when `budgets.len() != loops.len()`.
     pub fn gather(loops: Vec<ControlLoop>, budgets: &[u64]) -> LaneLoop {
         assert_eq!(loops.len(), budgets.len(), "one budget per lane");
-        let n = loops.len();
-        let mut lanes = LaneLoop {
-            pdn: PdnLanes::default(),
-            monitor: Vec::with_capacity(n),
-            histogram: Vec::with_capacity(n),
-            energy: Vec::with_capacity(n),
-            has_sensor: Vec::with_capacity(n),
-            sens_v_low: Vec::with_capacity(n),
-            sens_v_high: Vec::with_capacity(n),
-            sens_noise_v: Vec::with_capacity(n),
-            sens_rng: Vec::with_capacity(n),
-            ring: Vec::new(),
-            ring_off: Vec::with_capacity(n),
-            ring_cap: Vec::with_capacity(n),
-            ring_head: Vec::with_capacity(n),
-            ctrl_last: Vec::with_capacity(n),
-            reduce_cycles: Vec::with_capacity(n),
-            increase_cycles: Vec::with_capacity(n),
-            reduce_events: Vec::with_capacity(n),
-            increase_events: Vec::with_capacity(n),
-            actuator: Vec::with_capacity(n),
-            cycles_in_low: Vec::with_capacity(n),
-            cycles_in_normal: Vec::with_capacity(n),
-            cycles_in_high: Vec::with_capacity(n),
-            trace: Vec::with_capacity(n),
-            groups: Vec::new(),
-            lane_group: Vec::with_capacity(n),
-            budget: budgets.to_vec(),
-            parked: Vec::with_capacity(n),
-            outcome: Vec::with_capacity(n),
-            active: Vec::with_capacity(n),
-            scratch_watts: vec![0.0; n],
-            scratch_amps: vec![0.0; n],
-            scratch_volts: vec![0.0; n],
-            scratch_pre_mask: vec![0; n],
-            scratch_mask: vec![0; n],
-        };
+        let mut lanes = Vec::with_capacity(loops.len());
+        let mut groups: Vec<LaneGroup> = Vec::new();
 
         // Group keys: (power fingerprint, fnv of CPU bytes, CPU bytes).
         // The byte image embeds the program digest and configuration
         // fingerprint, so byte equality really does imply identical
         // future behavior under identical gating commands.
         let mut keys: Vec<(u64, u64, Vec<u8>)> = Vec::new();
-        let mut pdn_states = Vec::with_capacity(n);
 
-        for (lane, sim) in loops.into_iter().enumerate() {
-            let parts = sim.into_lane_parts();
-            let power_fp = power_fingerprint(&parts.power);
+        for (lane, (sim, &budget)) in loops.into_iter().zip(budgets).enumerate() {
+            let ControlLoop {
+                cpu, power, post, ..
+            } = sim;
+            let power_fp = power_fingerprint(&power);
             let mut w = voltctl_snap::ByteWriter::new();
-            parts.cpu.pack_state(&mut w);
+            cpu.pack_state(&mut w);
             let cpu_bytes = w.into_bytes();
             let cpu_fp = voltctl_snap::fnv1a(&cpu_bytes);
 
@@ -269,72 +136,25 @@ impl LaneLoop {
                     *pfp == power_fp && *cfp == cpu_fp && *bytes == cpu_bytes
                 })
                 .unwrap_or_else(|| {
-                    let vdd = parts.power.params().vdd;
-                    lanes.groups.push(LaneGroup {
-                        cpu: parts.cpu,
-                        power: parts.power,
-                        vdd,
+                    groups.push(LaneGroup {
+                        cpu,
+                        power,
                         lanes: Vec::new(),
                     });
                     keys.push((power_fp, cpu_fp, cpu_bytes));
-                    lanes.groups.len() - 1
+                    groups.len() - 1
                 });
-            lanes.groups[group].lanes.push(lane);
-            lanes.lane_group.push(group);
-
-            pdn_states.push(parts.pdn_state);
-            lanes.monitor.push(parts.monitor);
-            lanes.histogram.push(parts.histogram);
-            lanes.energy.push(parts.energy);
-
-            match parts.sensor {
-                Some(sensor) => {
-                    let p = sensor.into_lane_parts();
-                    lanes.has_sensor.push(true);
-                    lanes.sens_v_low.push(p.v_low);
-                    lanes.sens_v_high.push(p.v_high);
-                    lanes.sens_noise_v.push(p.noise_v);
-                    lanes.sens_rng.push(p.rng);
-                    lanes.ring_off.push(lanes.ring.len());
-                    lanes.ring_cap.push(p.pipeline.len());
-                    lanes.ring_head.push(0);
-                    // Oldest-first, so head 0 points at the next value
-                    // `pop_front` would have yielded.
-                    lanes.ring.extend(p.pipeline.iter());
-                }
-                None => {
-                    lanes.has_sensor.push(false);
-                    lanes.sens_v_low.push(0.0);
-                    lanes.sens_v_high.push(0.0);
-                    lanes.sens_noise_v.push(0.0);
-                    lanes.sens_rng.push(Rng::new(0));
-                    lanes.ring_off.push(lanes.ring.len());
-                    lanes.ring_cap.push(0);
-                    lanes.ring_head.push(0);
-                }
-            }
-
-            let c = parts.controller.into_lane_parts();
-            lanes.ctrl_last.push(encode_last(c.last));
-            lanes.reduce_cycles.push(c.reduce_cycles);
-            lanes.increase_cycles.push(c.increase_cycles);
-            lanes.reduce_events.push(c.reduce_events);
-            lanes.increase_events.push(c.increase_events);
-            lanes.actuator.push(parts.actuator);
-            lanes.cycles_in_low.push(parts.cycles_in_low);
-            lanes.cycles_in_normal.push(parts.cycles_in_normal);
-            lanes.cycles_in_high.push(parts.cycles_in_high);
-            lanes.trace.push(parts.trace);
-            lanes.parked.push(None);
-            lanes.outcome.push(None);
+            groups[group].lanes.push(lane);
+            lanes.push(Lane {
+                post,
+                group,
+                budget,
+                next: None,
+                parked: None,
+                outcome: None,
+            });
         }
-        lanes.pdn = PdnLanes::gather(&pdn_states);
-        lanes
-    }
-
-    /// Number of lanes (width W).
-    pub fn width(&self) -> usize {
-        self.budget.len()
+        LaneLoop { lanes, groups }
     }
 
     /// Number of CPU groups that still have running lanes.
@@ -342,121 +162,50 @@ impl LaneLoop {
         self.groups.iter().filter(|g| !g.lanes.is_empty()).count()
     }
 
-    /// Number of lanes that have not yet exited.
-    pub fn active_lane_count(&self) -> usize {
-        self.groups.iter().map(|g| g.lanes.len()).sum()
-    }
-
     /// The lane's materialized outcome, once it has exited.
     pub fn outcome(&self, lane: usize) -> Option<&LaneOutcome> {
-        self.outcome[lane].as_ref()
+        self.lanes[lane].outcome.as_ref()
     }
 
     /// The lane's run report at its current state (live lanes included).
     pub fn report(&self, lane: usize) -> LoopReport {
-        self.make_report(lane, self.lane_cpu(lane))
-    }
-
-    /// Digest of the lane CPU's architectural state.
-    pub fn arch_digest(&self, lane: usize) -> u64 {
-        self.lane_cpu(lane).arch_digest()
+        self.lanes[lane].post.report(self.lane_cpu(lane))
     }
 
     /// Takes the lane's recorded per-cycle trace (empty unless the
     /// gathered loop had `record_trace` enabled).
     pub fn take_trace(&mut self, lane: usize) -> Vec<LoopSample> {
-        self.trace[lane].take().unwrap_or_default()
+        self.lanes[lane].post.take_trace()
     }
 
     fn lane_cpu(&self, lane: usize) -> &Cpu {
-        match &self.parked[lane] {
-            Some(cpu) => cpu,
-            None => &self.groups[self.lane_group[lane]].cpu,
-        }
+        let l = &self.lanes[lane];
+        l.parked.as_ref().unwrap_or(&self.groups[l.group].cpu)
     }
 
-    fn make_report(&self, lane: usize, cpu: &Cpu) -> LoopReport {
-        let stats = cpu.stats();
-        LoopReport {
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc(),
-            emergencies: self.monitor[lane].report(),
-            energy_joules: self.energy[lane].joules(),
-            avg_power: self.energy[lane].average_power(),
-            reduce_cycles: self.reduce_cycles[lane],
-            increase_cycles: self.increase_cycles[lane],
-            interventions: self.reduce_events[lane] + self.increase_events[lane],
-            cycles_in_low: self.cycles_in_low[lane],
-            cycles_in_normal: self.cycles_in_normal[lane],
-            cycles_in_high: self.cycles_in_high[lane],
-        }
-    }
-
-    /// Scatters one lane back into the scalar parts a [`ControlLoop`]
-    /// assembles from; every field is cloned, the lane keeps running.
-    fn lane_parts(&self, lane: usize) -> LaneParts {
-        let group = &self.groups[self.lane_group[lane]];
-        let cpu = match &self.parked[lane] {
-            Some(cpu) => cpu.clone(),
-            None => group.cpu.clone(),
-        };
-        let sensor = self.has_sensor[lane].then(|| {
-            let (off, cap, head) = (
-                self.ring_off[lane],
-                self.ring_cap[lane],
-                self.ring_head[lane],
-            );
-            let mut pipeline = VecDeque::with_capacity(cap + 1);
-            for k in 0..cap {
-                pipeline.push_back(self.ring[off + (head + k) % cap]);
-            }
-            ThresholdSensor::from_lane_parts(SensorParts {
-                v_low: self.sens_v_low[lane],
-                v_high: self.sens_v_high[lane],
-                pipeline,
-                noise_v: self.sens_noise_v[lane],
-                rng: self.sens_rng[lane].clone(),
-            })
-        });
-        LaneParts {
-            cpu,
-            power: group.power.clone(),
-            pdn_state: self.pdn.scatter(lane),
-            v_nominal: self.pdn.v_nominal(lane),
-            sensor,
-            controller: ThresholdController::from_lane_parts(ControllerParts {
-                last: decode_last(self.ctrl_last[lane]),
-                reduce_cycles: self.reduce_cycles[lane],
-                increase_cycles: self.increase_cycles[lane],
-                reduce_events: self.reduce_events[lane],
-                increase_events: self.increase_events[lane],
-            }),
-            actuator: self.actuator[lane],
-            monitor: self.monitor[lane].clone(),
-            histogram: self.histogram[lane].clone(),
-            energy: self.energy[lane],
-            trace: self.trace[lane].clone(),
-            cycles_in_low: self.cycles_in_low[lane],
-            cycles_in_normal: self.cycles_in_normal[lane],
-            cycles_in_high: self.cycles_in_high[lane],
-        }
+    /// Scatters one lane back into a scalar [`ControlLoop`]; every part
+    /// is cloned, the lane keeps running.
+    fn lane_loop(&self, lane: usize) -> ControlLoop {
+        let l = &self.lanes[lane];
+        ControlLoop::assemble(
+            self.lane_cpu(lane).clone(),
+            self.groups[l.group].power.clone(),
+            l.post.clone(),
+        )
     }
 
     /// Serializes one lane as a scalar loop snapshot — byte-identical to
     /// the [`ControlLoop::save`] of a loop stepped scalar to the same
     /// point, so `--shards`/`--resume` round-trip through the lane path.
     pub fn save_lane(&self, lane: usize) -> Vec<u8> {
-        ControlLoop::from_lane_parts(self.lane_parts(lane)).save()
+        self.lane_loop(lane).save()
     }
 
     /// Scatters every lane back into a scalar [`ControlLoop`], in lane
     /// order. Each scattered loop continues bit-for-bit from where the
     /// lane left off.
     pub fn into_loops(self) -> Vec<ControlLoop> {
-        (0..self.width())
-            .map(|l| ControlLoop::from_lane_parts(self.lane_parts(l)))
-            .collect()
+        (0..self.lanes.len()).map(|l| self.lane_loop(l)).collect()
     }
 
     /// Runs every lane to its exit (budget spent or program finished);
@@ -476,234 +225,97 @@ impl LaneLoop {
     /// group's program finished), materializing their outcomes and
     /// parking a CPU clone on each.
     fn retire_exits(&mut self) {
-        for g_idx in 0..self.groups.len() {
-            if self.groups[g_idx].lanes.is_empty() {
-                continue;
-            }
-            let done = self.groups[g_idx].cpu.done();
-            let any_exit = done
-                || self.groups[g_idx]
-                    .lanes
-                    .iter()
-                    .any(|&l| self.budget[l] == 0);
-            if !any_exit {
-                continue;
-            }
-            let exits: Vec<usize> = self.groups[g_idx]
-                .lanes
-                .iter()
-                .copied()
-                .filter(|&l| done || self.budget[l] == 0)
-                .collect();
-            let budget = std::mem::take(&mut self.budget);
-            self.groups[g_idx]
-                .lanes
-                .retain(|&l| !(done || budget[l] == 0));
-            self.budget = budget;
-            for &l in &exits {
-                let cpu = self.groups[g_idx].cpu.clone();
-                self.outcome[l] = Some(LaneOutcome {
-                    report: self.make_report(l, &cpu),
+        for group in &mut self.groups {
+            let done = group.cpu.done();
+            let cpu = &group.cpu;
+            group.lanes.retain(|&l| {
+                let lane = &mut self.lanes[l];
+                if !done && lane.budget > 0 {
+                    return true;
+                }
+                lane.outcome = Some(LaneOutcome {
+                    report: lane.post.report(cpu),
                     arch_digest: cpu.arch_digest(),
                 });
-                self.parked[l] = Some(cpu);
-            }
+                lane.parked = Some(cpu.clone());
+                false
+            });
         }
     }
 
     /// Advances every live lane one cycle in lockstep; returns how many
     /// lanes stepped (0 = all lanes have exited).
     ///
-    /// Per lane the pass structure exactly mirrors [`ControlLoop::step`]:
-    /// pre-step gating read, CPU step + power evaluation (once per
-    /// group), PDN step, monitor/histogram/energy, sensor pipeline +
-    /// conditional noise draw, controller FSM, band counters, trace
-    /// sample — then gating partition / copy-on-diverge for the next
-    /// cycle.
+    /// Per group: one CPU step and power evaluation under the group's
+    /// current gating, then each member lane's `PostCpu::step` — the
+    /// same code [`ControlLoop::step`] runs — then the gating partition
+    /// that sets (or forks) the CPU for the next cycle.
     pub fn step_all(&mut self) -> usize {
         self.retire_exits();
-
-        // Pass 1: one CPU step + power evaluation per group, broadcast
-        // to every member lane's scratch slot.
-        self.active.clear();
+        let mut stepped = 0;
+        // Groups forked this cycle are appended past the range and first
+        // step next cycle.
         for g_idx in 0..self.groups.len() {
-            if self.groups[g_idx].lanes.is_empty() {
+            let g = &mut self.groups[g_idx];
+            if g.lanes.is_empty() {
                 continue;
             }
-            let g = &mut self.groups[g_idx];
             let gating = g.cpu.gating();
             let act = g.cpu.step();
             let watts = g.power.cycle_power(&act, &gating).total();
-            let amps = watts / g.vdd;
-            let pre_mask = mask_of(gating);
+            let amps = watts / g.power.params().vdd;
             for &l in &g.lanes {
-                self.scratch_watts[l] = watts;
-                self.scratch_amps[l] = amps;
-                self.scratch_pre_mask[l] = pre_mask;
+                let lane = &mut self.lanes[l];
+                lane.next = lane.post.step(watts, amps, gating).gating;
+                lane.budget -= 1;
             }
-            self.active.extend_from_slice(&g.lanes);
-        }
-        if self.active.is_empty() {
-            return 0;
-        }
-
-        // Pass 2: supply + ground-truth observers, lane-major.
-        for &l in &self.active {
-            let volts = self.pdn.step_lane(l, self.scratch_amps[l]);
-            self.scratch_volts[l] = volts;
-            self.monitor[l].observe(volts);
-            self.histogram[l].record(volts);
-            self.energy[l].add_cycle(self.scratch_watts[l]);
-        }
-
-        // Pass 3: sensor pipeline, conditional noise draw, controller
-        // FSM, band counters, desired-gating mask.
-        for &l in &self.active {
-            let reading = if self.has_sensor[l] {
-                let volts = self.scratch_volts[l];
-                let cap = self.ring_cap[l];
-                let seen = if cap == 0 {
-                    volts
-                } else {
-                    let head = self.ring_head[l];
-                    let pos = self.ring_off[l] + head;
-                    let seen = self.ring[pos];
-                    self.ring[pos] = volts;
-                    self.ring_head[l] = if head + 1 == cap { 0 } else { head + 1 };
-                    seen
-                };
-                // The noise draw is conditional in the scalar sensor;
-                // replicating the condition keeps RNG streams aligned.
-                let noisy = if self.sens_noise_v[l] > 0.0 {
-                    seen + self.sens_rng[l].range_f64(-self.sens_noise_v[l], self.sens_noise_v[l])
-                } else {
-                    seen
-                };
-                let reading = if noisy < self.sens_v_low[l] {
-                    SensorReading::Low
-                } else if noisy > self.sens_v_high[l] {
-                    SensorReading::High
-                } else {
-                    SensorReading::Normal
-                };
-                let action = match reading {
-                    SensorReading::Low => ControlAction::ReduceCurrent,
-                    SensorReading::High => ControlAction::IncreaseCurrent,
-                    SensorReading::Normal => ControlAction::None,
-                };
-                match action {
-                    ControlAction::ReduceCurrent => {
-                        self.reduce_cycles[l] += 1;
-                        if self.ctrl_last[l] != 2 {
-                            self.reduce_events[l] += 1;
-                        }
-                    }
-                    ControlAction::IncreaseCurrent => {
-                        self.increase_cycles[l] += 1;
-                        if self.ctrl_last[l] != 3 {
-                            self.increase_events[l] += 1;
-                        }
-                    }
-                    ControlAction::None => {}
-                }
-                self.ctrl_last[l] = encode_last(Some(action));
-                self.scratch_mask[l] = desired_mask(&self.actuator[l], action);
-                reading
-            } else {
-                self.scratch_mask[l] = MASK_KEEP;
-                SensorReading::Normal
-            };
-            match reading {
-                SensorReading::Low => self.cycles_in_low[l] += 1,
-                SensorReading::Normal => self.cycles_in_normal[l] += 1,
-                SensorReading::High => self.cycles_in_high[l] += 1,
-            }
-        }
-
-        // Pass 4: trace scatter (samples use the pre-step gating, as in
-        // the scalar loop) and budget decrement.
-        for &l in &self.active {
-            if let Some(trace) = &mut self.trace[l] {
-                let m = self.scratch_pre_mask[l];
-                trace.push(LoopSample {
-                    current: self.scratch_amps[l],
-                    voltage: self.scratch_volts[l],
-                    reducing: m & 0b000111 != 0,
-                    increasing: m & 0b111000 != 0,
-                });
-            }
-            self.budget[l] -= 1;
-        }
-
-        // Pass 5: gating partition / copy-on-diverge.
-        let stepped = self.active.len();
-        for g_idx in 0..self.groups.len() {
-            if self.groups[g_idx].lanes.is_empty() {
-                continue;
-            }
-            let g_cur = mask_of(self.groups[g_idx].cpu.gating());
-            // Fast path: all lanes want the mask the group already has.
-            let unanimous = {
-                let lanes = &self.groups[g_idx].lanes;
-                let first = self.scratch_mask[lanes[0]];
-                let first = if first == MASK_KEEP { g_cur } else { first };
-                lanes[1..]
-                    .iter()
-                    .all(|&l| {
-                        let m = self.scratch_mask[l];
-                        (if m == MASK_KEEP { g_cur } else { m }) == first
-                    })
-                    .then_some(first)
-            };
-            match unanimous {
-                Some(mask) => {
-                    if mask != g_cur {
-                        apply_mask(self.groups[g_idx].cpu.gating_mut(), mask);
-                    }
-                }
-                None => self.split_group(g_idx, g_cur),
-            }
+            stepped += g.lanes.len();
+            self.regroup(g_idx);
         }
         stepped
     }
 
-    /// Partitions `g_idx`'s lanes by desired gating mask (encounter
-    /// order). The first partition keeps the group's CPU; every other
+    /// Sets the group's CPU to the gating its lanes commanded. When they
+    /// disagree, the lanes are partitioned by commanded gating (encounter
+    /// order): the first partition keeps the group's CPU and every other
     /// partition forks a clone into a fresh group. Uncontrolled lanes
-    /// resolve to the group's current mask and therefore always stay
-    /// with the no-change partition — their gating never moves.
-    fn split_group(&mut self, g_idx: usize, g_cur: u8) {
-        let lanes = std::mem::take(&mut self.groups[g_idx].lanes);
-        let mut parts: Vec<(u8, Vec<usize>)> = Vec::new();
-        for &l in &lanes {
-            let m = self.scratch_mask[l];
-            let m = if m == MASK_KEEP { g_cur } else { m };
-            match parts.iter_mut().find(|(mask, _)| *mask == m) {
+    /// want the group's current gating and so stay with the no-change
+    /// partition.
+    fn regroup(&mut self, g_idx: usize) {
+        let group = &self.groups[g_idx];
+        let current = group.cpu.gating();
+        let first = self.lanes[group.lanes[0]].wants(current);
+        if group.lanes[1..]
+            .iter()
+            .all(|&l| self.lanes[l].wants(current) == first)
+        {
+            *self.groups[g_idx].cpu.gating_mut() = first;
+            return;
+        }
+
+        let mut parts: Vec<(GatingState, Vec<usize>)> = Vec::new();
+        for l in std::mem::take(&mut self.groups[g_idx].lanes) {
+            let want = self.lanes[l].wants(current);
+            match parts.iter_mut().find(|(g, _)| *g == want) {
                 Some((_, members)) => members.push(l),
-                None => parts.push((m, vec![l])),
+                None => parts.push((want, vec![l])),
             }
         }
         let mut parts = parts.into_iter();
-        let (first_mask, first_lanes) = parts.next().expect("group was non-empty");
-        self.groups[g_idx].lanes = first_lanes;
-        if first_mask != g_cur {
-            apply_mask(self.groups[g_idx].cpu.gating_mut(), first_mask);
-        }
-        for (mask, members) in parts {
+        let (gating, members) = parts.next().expect("group was non-empty");
+        *self.groups[g_idx].cpu.gating_mut() = gating;
+        self.groups[g_idx].lanes = members;
+        for (gating, members) in parts {
             let mut cpu = self.groups[g_idx].cpu.clone();
-            // The clone may already carry the first partition's mask;
-            // apply unconditionally — actuation is absolute.
-            apply_mask(cpu.gating_mut(), mask);
+            *cpu.gating_mut() = gating;
             let power = self.groups[g_idx].power.clone();
-            let vdd = self.groups[g_idx].vdd;
             let new_idx = self.groups.len();
             for &l in &members {
-                self.lane_group[l] = new_idx;
+                self.lanes[l].group = new_idx;
             }
             self.groups.push(LaneGroup {
                 cpu,
                 power,
-                vdd,
                 lanes: members,
             });
         }

@@ -275,33 +275,29 @@ impl<R: Recorder, T: Tracer> ControlLoopBuilder<R, T> {
 
         let mut pdn_state = pdn.discretize();
         pdn_state.set_reference_current(power.min_current());
-        let monitor = VoltageMonitor::new(pdn.v_nominal(), pdn.tolerance());
-        let energy = EnergyAccumulator::new(pdn.clock_hz());
         let mut recorder = self.recorder;
         let metric_ids = LoopMetricIds::resolve(&mut recorder);
 
         Ok(ControlLoop {
             cpu,
             power,
-            pdn_state,
-            v_nominal: pdn.v_nominal(),
-            sensor,
-            controller: ThresholdController::new(),
-            actuator: self.actuator,
-            monitor,
-            histogram: VoltageHistogram::for_nominal_1v(),
-            energy,
-            trace: if self.record_trace {
-                Some(Vec::new())
-            } else {
-                None
+            post: PostCpu {
+                pdn: pdn_state,
+                v_nominal: pdn.v_nominal(),
+                sensor,
+                controller: ThresholdController::new(),
+                actuator: self.actuator,
+                monitor: VoltageMonitor::new(pdn.v_nominal(), pdn.tolerance()),
+                histogram: VoltageHistogram::for_nominal_1v(),
+                energy: EnergyAccumulator::new(pdn.clock_hz()),
+                trace: self.record_trace.then(Vec::new),
+                cycles_in_low: 0,
+                cycles_in_normal: 0,
+                cycles_in_high: 0,
             },
             recorder,
             metric_ids,
             tracer: self.tracer,
-            cycles_in_low: 0,
-            cycles_in_normal: 0,
-            cycles_in_high: 0,
         })
     }
 
@@ -342,9 +338,26 @@ impl<R: Recorder, T: Tracer> ControlLoopBuilder<R, T> {
 /// The closed-loop simulator.
 #[derive(Debug)]
 pub struct ControlLoop<R: Recorder = NullRecorder, T: Tracer = NullTracer> {
-    cpu: Cpu,
-    power: PowerModel,
-    pdn_state: PdnState,
+    pub(crate) cpu: Cpu,
+    pub(crate) power: PowerModel,
+    pub(crate) post: PostCpu,
+    recorder: R,
+    metric_ids: LoopMetricIds,
+    tracer: T,
+}
+
+/// Everything a loop updates after the CPU and power model have turned
+/// a cycle into current: the supply network, the ground-truth observers
+/// (monitor, histogram, energy), the sensor, controller and actuator,
+/// the band counters and the sample trace.
+///
+/// [`ControlLoop::step`] and the lane path ([`crate::lane`]) both step a
+/// loop through this one type, so they cannot drift apart: a lane that
+/// shares its CPU with others still runs its own post-CPU half exactly as
+/// its scalar twin would.
+#[derive(Debug, Clone)]
+pub(crate) struct PostCpu {
+    pdn: PdnState,
     v_nominal: f64,
     sensor: Option<ThresholdSensor>,
     controller: ThresholdController,
@@ -353,12 +366,108 @@ pub struct ControlLoop<R: Recorder = NullRecorder, T: Tracer = NullTracer> {
     histogram: VoltageHistogram,
     energy: EnergyAccumulator,
     trace: Option<Vec<LoopSample>>,
-    recorder: R,
-    metric_ids: LoopMetricIds,
-    tracer: T,
     cycles_in_low: u64,
     cycles_in_normal: u64,
     cycles_in_high: u64,
+}
+
+/// What one post-CPU cycle produced.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PostCycle {
+    pub(crate) sample: LoopSample,
+    /// The ground-truth supply band.
+    pub(crate) band: VoltageBand,
+    /// The sensed control band (Normal when uncontrolled).
+    pub(crate) reading: SensorReading,
+    /// The gating the controller commands for the next cycle, or `None`
+    /// for an uncontrolled loop, whose gating never moves. Actuation is
+    /// absolute, so this depends only on the action and the actuator.
+    pub(crate) gating: Option<GatingState>,
+}
+
+impl PostCpu {
+    /// One post-CPU cycle: the supply half, then the control half.
+    /// `gating` is the state the CPU ran this cycle under.
+    pub(crate) fn step(&mut self, watts: f64, amps: f64, gating: GatingState) -> PostCycle {
+        let volts = self.supply(amps);
+        self.control(watts, volts, amps, gating)
+    }
+
+    /// The supply half: the PDN turns this cycle's current into the die
+    /// voltage.
+    pub(crate) fn supply(&mut self, amps: f64) -> f64 {
+        self.pdn.step(amps)
+    }
+
+    /// The control half: the observers record the supply, the sensor
+    /// reads its band, the controller decides and the actuator turns the
+    /// decision into next cycle's gating.
+    pub(crate) fn control(
+        &mut self,
+        watts: f64,
+        volts: f64,
+        amps: f64,
+        gating: GatingState,
+    ) -> PostCycle {
+        let band = self.monitor.observe(volts);
+        self.histogram.record(volts);
+        self.energy.add_cycle(watts);
+
+        let mut reading = SensorReading::Normal;
+        let mut next = None;
+        if let Some(sensor) = &mut self.sensor {
+            reading = sensor.observe(volts);
+            let action = self.controller.decide(reading);
+            let mut g = GatingState::default();
+            self.actuator.apply(action, &mut g);
+            next = Some(g);
+        }
+        match reading {
+            SensorReading::Low => self.cycles_in_low += 1,
+            SensorReading::Normal => self.cycles_in_normal += 1,
+            SensorReading::High => self.cycles_in_high += 1,
+        }
+
+        let sample = LoopSample {
+            current: amps,
+            voltage: volts,
+            reducing: gating.gate_fu || gating.gate_dl1 || gating.gate_il1,
+            increasing: gating.phantom_fu || gating.phantom_dl1 || gating.phantom_il1,
+        };
+        if let Some(trace) = &mut self.trace {
+            trace.push(sample);
+        }
+        PostCycle {
+            sample,
+            band,
+            reading,
+            gating: next,
+        }
+    }
+
+    /// The run report of a loop whose CPU is `cpu`.
+    pub(crate) fn report(&self, cpu: &Cpu) -> LoopReport {
+        let stats = cpu.stats();
+        LoopReport {
+            cycles: stats.cycles,
+            committed: stats.committed,
+            ipc: stats.ipc(),
+            emergencies: self.monitor.report(),
+            energy_joules: self.energy.joules(),
+            avg_power: self.energy.average_power(),
+            reduce_cycles: self.controller.reduce_cycles(),
+            increase_cycles: self.controller.increase_cycles(),
+            interventions: self.controller.reduce_events() + self.controller.increase_events(),
+            cycles_in_low: self.cycles_in_low,
+            cycles_in_normal: self.cycles_in_normal,
+            cycles_in_high: self.cycles_in_high,
+        }
+    }
+
+    /// Takes the recorded per-cycle trace (empty unless recording).
+    pub(crate) fn take_trace(&mut self) -> Vec<LoopSample> {
+        self.trace.take().unwrap_or_default()
+    }
 }
 
 /// Run-level results.
@@ -430,77 +539,17 @@ pub(crate) fn power_fingerprint(power: &PowerModel) -> u64 {
     voltctl_snap::fnv1a(format!("{power:?}").as_bytes())
 }
 
-/// A [`ControlLoop`]'s complete evolving state, decomposed so the lane
-/// path ([`crate::lane`]) can transpose it into per-field arrays and —
-/// at checkpoint/scatter boundaries — reassemble a scalar loop that is
-/// byte-identical to one that had been stepped scalar all along.
-#[derive(Debug)]
-pub(crate) struct LaneParts {
-    pub(crate) cpu: Cpu,
-    pub(crate) power: PowerModel,
-    pub(crate) pdn_state: PdnState,
-    pub(crate) v_nominal: f64,
-    pub(crate) sensor: Option<ThresholdSensor>,
-    pub(crate) controller: ThresholdController,
-    pub(crate) actuator: AsymmetricActuator,
-    pub(crate) monitor: VoltageMonitor,
-    pub(crate) histogram: VoltageHistogram,
-    pub(crate) energy: EnergyAccumulator,
-    pub(crate) trace: Option<Vec<LoopSample>>,
-    pub(crate) cycles_in_low: u64,
-    pub(crate) cycles_in_normal: u64,
-    pub(crate) cycles_in_high: u64,
-}
-
 impl ControlLoop {
-    /// Decomposes an (unobserved) loop into lane-transposable parts.
-    ///
-    /// Only the default `NullRecorder`/`NullTracer` instantiation can
-    /// enter the lane path: per-cycle observers would have to fire in
-    /// scalar step order, which is exactly what the transposed passes
-    /// give up.
-    pub(crate) fn into_lane_parts(self) -> LaneParts {
-        LaneParts {
-            cpu: self.cpu,
-            power: self.power,
-            pdn_state: self.pdn_state,
-            v_nominal: self.v_nominal,
-            sensor: self.sensor,
-            controller: self.controller,
-            actuator: self.actuator,
-            monitor: self.monitor,
-            histogram: self.histogram,
-            energy: self.energy,
-            trace: self.trace,
-            cycles_in_low: self.cycles_in_low,
-            cycles_in_normal: self.cycles_in_normal,
-            cycles_in_high: self.cycles_in_high,
-        }
-    }
-
-    /// Reassembles a scalar loop from lane parts. Inverse of
-    /// [`into_lane_parts`](Self::into_lane_parts): a loop rebuilt from
-    /// unmodified parts is byte-identical (its [`save`](Self::save)
-    /// bytes match) to the loop that was decomposed.
-    pub(crate) fn from_lane_parts(parts: LaneParts) -> ControlLoop {
+    /// An unobserved loop from its CPU, power model and post-CPU state;
+    /// the lane path scatters lanes back into scalar loops with it.
+    pub(crate) fn assemble(cpu: Cpu, power: PowerModel, post: PostCpu) -> ControlLoop {
         ControlLoop {
-            cpu: parts.cpu,
-            power: parts.power,
-            pdn_state: parts.pdn_state,
-            v_nominal: parts.v_nominal,
-            sensor: parts.sensor,
-            controller: parts.controller,
-            actuator: parts.actuator,
-            monitor: parts.monitor,
-            histogram: parts.histogram,
-            energy: parts.energy,
-            trace: parts.trace,
+            cpu,
+            power,
+            post,
             recorder: NullRecorder,
             metric_ids: LoopMetricIds::default(),
             tracer: NullTracer,
-            cycles_in_low: parts.cycles_in_low,
-            cycles_in_normal: parts.cycles_in_normal,
-            cycles_in_high: parts.cycles_in_high,
         }
     }
 }
@@ -589,19 +638,13 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         sw.stop_id(&mut self.recorder, self.metric_ids.power_ns);
 
         let sw = Stopwatch::started_if(time_substeps);
-        let volts = self.pdn_state.step(amps);
+        let volts = self.post.supply(amps);
         sw.stop_id(&mut self.recorder, self.metric_ids.pdn_ns);
 
-        let band = self.monitor.observe(volts);
-        self.histogram.record(volts);
-        self.energy.add_cycle(watts);
-
         let sw = Stopwatch::started_if(time_substeps);
-        let mut reading = SensorReading::Normal;
-        if let Some(sensor) = &mut self.sensor {
-            reading = sensor.observe(volts);
-            let action = self.controller.decide(reading);
-            self.actuator.apply(action, self.cpu.gating_mut());
+        let out = self.post.control(watts, volts, amps, gating);
+        if let Some(next) = out.gating {
+            *self.cpu.gating_mut() = next;
         }
         sw.stop_id(&mut self.recorder, self.metric_ids.control_ns);
 
@@ -610,33 +653,17 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
                 cycle,
                 current: amps,
                 voltage: volts,
-                supply: supply_band(band),
-                sensor: sensor_band(reading),
+                supply: supply_band(out.band),
+                sensor: sensor_band(out.reading),
                 events: event_bits(&act, &gating),
             });
-        }
-
-        match reading {
-            SensorReading::Low => self.cycles_in_low += 1,
-            SensorReading::Normal => self.cycles_in_normal += 1,
-            SensorReading::High => self.cycles_in_high += 1,
         }
 
         if R::ENABLED {
             self.recorder.value_id(self.metric_ids.voltage, volts);
             self.recorder.value_id(self.metric_ids.current, amps);
         }
-
-        let sample = LoopSample {
-            current: amps,
-            voltage: volts,
-            reducing: gating.gate_fu || gating.gate_dl1 || gating.gate_il1,
-            increasing: gating.phantom_fu || gating.phantom_dl1 || gating.phantom_il1,
-        };
-        if let Some(trace) = &mut self.trace {
-            trace.push(sample);
-        }
-        sample
+        out.sample
     }
 
     /// Advances up to `budget` cycles, stopping early when the program
@@ -649,7 +676,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
     /// reserved up front (capped at 2^22 samples per call for
     /// pathological budgets) so the hot loop never reallocates mid-run.
     pub fn step_n(&mut self, budget: u64) -> u64 {
-        if let Some(trace) = &mut self.trace {
+        if let Some(trace) = &mut self.post.trace {
             trace.reserve(budget.min(1 << 22) as usize);
         }
         let mut stepped = 0;
@@ -681,7 +708,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
 
     /// The voltage histogram accumulated so far (Figure 10).
     pub fn histogram(&self) -> &VoltageHistogram {
-        &self.histogram
+        &self.post.histogram
     }
 
     /// The attached telemetry recorder.
@@ -723,26 +750,12 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
     /// Takes the recorded per-cycle trace (empty unless
     /// [`ControlLoopBuilder::record_trace`] was enabled).
     pub fn take_trace(&mut self) -> Vec<LoopSample> {
-        self.trace.take().unwrap_or_default()
+        self.post.take_trace()
     }
 
     /// Produces the run report.
     pub fn report(&self) -> LoopReport {
-        let stats = self.cpu.stats();
-        LoopReport {
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc(),
-            emergencies: self.monitor.report(),
-            energy_joules: self.energy.joules(),
-            avg_power: self.energy.average_power(),
-            reduce_cycles: self.controller.reduce_cycles(),
-            increase_cycles: self.controller.increase_cycles(),
-            interventions: self.controller.reduce_events() + self.controller.increase_events(),
-            cycles_in_low: self.cycles_in_low,
-            cycles_in_normal: self.cycles_in_normal,
-            cycles_in_high: self.cycles_in_high,
-        }
+        self.post.report(&self.cpu)
     }
 
     /// Flushes run-level aggregates into the recorder: controller-state
@@ -768,9 +781,11 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         rec.value("loop.gating_duty", report.gating_duty());
         rec.value("loop.ipc", report.ipc);
         report.emergencies.record_telemetry(rec);
-        self.histogram.record_telemetry(rec, "loop.voltage_hist");
+        self.post
+            .histogram
+            .record_telemetry(rec, "loop.voltage_hist");
         self.cpu.stats().record_telemetry(rec);
-        self.energy.record_telemetry(rec);
+        self.post.energy.record_telemetry(rec);
     }
 
     /// Serializes the loop's complete simulation state into a versioned
@@ -790,14 +805,15 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
     ///
     /// [`MemoryRecorder`]: voltctl_telemetry::MemoryRecorder
     pub fn save(&self) -> Vec<u8> {
+        let post = &self.post;
         let mut snap = SnapshotWriter::new(SnapshotKind::Loop);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        w.put_f64(self.v_nominal);
+        w.put_f64(post.v_nominal);
         w.put_u64(power_fingerprint(&self.power));
-        w.put_u64(self.cycles_in_low);
-        w.put_u64(self.cycles_in_normal);
-        w.put_u64(self.cycles_in_high);
+        w.put_u64(post.cycles_in_low);
+        w.put_u64(post.cycles_in_normal);
+        w.put_u64(post.cycles_in_high);
         snap.section(section::META, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
@@ -805,29 +821,29 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         snap.section(section::CPU, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.pdn_state.pack(&mut w);
+        post.pdn.pack(&mut w);
         snap.section(section::PDN, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.sensor.pack(&mut w);
+        post.sensor.pack(&mut w);
         snap.section(section::SENSOR, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.controller.pack(&mut w);
+        post.controller.pack(&mut w);
         snap.section(section::CONTROLLER, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.actuator.pack(&mut w);
+        post.actuator.pack(&mut w);
         snap.section(section::ACTUATOR, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.monitor.pack(&mut w);
-        self.histogram.pack(&mut w);
-        self.energy.pack(&mut w);
+        post.monitor.pack(&mut w);
+        post.histogram.pack(&mut w);
+        post.energy.pack(&mut w);
         snap.section(section::MONITOR, LOOP_SECTION_VERSION, w);
 
         let mut w = voltctl_snap::ByteWriter::new();
-        self.trace.pack(&mut w);
+        post.trace.pack(&mut w);
         snap.section(section::TRACE, LOOP_SECTION_VERSION, w);
 
         snap.finish()
@@ -880,13 +896,13 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         r.expect_end("cpu state").map_err(snap_err)?;
 
         let mut r = section_reader(section::PDN, "supply state")?;
-        let pdn_state = PdnState::unpack(&mut r).map_err(snap_err)?;
+        let pdn = PdnState::unpack(&mut r).map_err(snap_err)?;
         r.expect_end("supply state").map_err(snap_err)?;
 
         let mut r = section_reader(section::SENSOR, "sensor state")?;
         let sensor: Option<ThresholdSensor> = Unpack::unpack(&mut r).map_err(snap_err)?;
         r.expect_end("sensor state").map_err(snap_err)?;
-        if sensor.is_some() != self.sensor.is_some() {
+        if sensor.is_some() != self.post.sensor.is_some() {
             return Err(ControlError::Infeasible(format!(
                 "snapshot is of {} run but the builder configured {}",
                 if sensor.is_some() {
@@ -894,7 +910,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
                 } else {
                     "an uncontrolled"
                 },
-                if self.sensor.is_some() {
+                if self.post.sensor.is_some() {
                     "control thresholds"
                 } else {
                     "no control"
@@ -921,18 +937,20 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         r.expect_end("sample trace").map_err(snap_err)?;
 
         self.cpu = cpu;
-        self.pdn_state = pdn_state;
-        self.v_nominal = v_nominal;
-        self.sensor = sensor;
-        self.controller = controller;
-        self.actuator = actuator;
-        self.monitor = monitor;
-        self.histogram = histogram;
-        self.energy = energy;
-        self.trace = trace;
-        self.cycles_in_low = cycles_in_low;
-        self.cycles_in_normal = cycles_in_normal;
-        self.cycles_in_high = cycles_in_high;
+        self.post = PostCpu {
+            pdn,
+            v_nominal,
+            sensor,
+            controller,
+            actuator,
+            monitor,
+            histogram,
+            energy,
+            trace,
+            cycles_in_low,
+            cycles_in_normal,
+            cycles_in_high,
+        };
         Ok(())
     }
 
@@ -944,7 +962,7 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
 
     /// The nominal supply voltage.
     pub fn v_nominal(&self) -> f64 {
-        self.v_nominal
+        self.post.v_nominal
     }
 }
 
@@ -1141,7 +1159,7 @@ mod tests {
         sim.run(750);
         // The reserve in run() must cover the whole budget: pushing the
         // samples cannot have grown the buffer beyond one allocation.
-        let trace = sim.trace.as_ref().expect("trace recording enabled");
+        let trace = sim.post.trace.as_ref().expect("trace recording enabled");
         assert_eq!(trace.len(), 750);
         assert!(
             trace.capacity() >= 750,
@@ -1233,7 +1251,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let sensor = sim.sensor.as_ref().unwrap();
+        let sensor = sim.post.sensor.as_ref().unwrap();
         assert!((sensor.v_low() - 0.97).abs() < 1e-12);
         assert!((sensor.v_high() - 1.03).abs() < 1e-12);
     }

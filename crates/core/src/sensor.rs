@@ -130,44 +130,6 @@ impl ThresholdSensor {
     }
 }
 
-/// The sensor's state decomposed for the lane path (see [`crate::lane`]):
-/// the delay pipeline transposes into a flat ring shared across lanes,
-/// everything else into per-field arrays.
-#[derive(Debug, Clone)]
-pub(crate) struct SensorParts {
-    pub(crate) v_low: f64,
-    pub(crate) v_high: f64,
-    pub(crate) pipeline: VecDeque<f64>,
-    pub(crate) noise_v: f64,
-    pub(crate) rng: Rng,
-}
-
-impl ThresholdSensor {
-    /// Decomposes into lane-transposable parts.
-    pub(crate) fn into_lane_parts(self) -> SensorParts {
-        SensorParts {
-            v_low: self.v_low,
-            v_high: self.v_high,
-            pipeline: self.pipeline,
-            noise_v: self.noise_v,
-            rng: self.rng,
-        }
-    }
-
-    /// Reassembles a sensor from lane parts. The parts must originate
-    /// from [`into_lane_parts`](Self::into_lane_parts) (possibly stepped
-    /// in the lane path); invariants were established at construction.
-    pub(crate) fn from_lane_parts(p: SensorParts) -> ThresholdSensor {
-        ThresholdSensor {
-            v_low: p.v_low,
-            v_high: p.v_high,
-            pipeline: p.pipeline,
-            noise_v: p.noise_v,
-            rng: p.rng,
-        }
-    }
-}
-
 impl voltctl_snap::Pack for ThresholdSensor {
     fn pack(&self, w: &mut voltctl_snap::ByteWriter) {
         w.put_f64(self.v_low);

@@ -3,8 +3,8 @@
 //! hard contract `crates/core/src/lane.rs` promises.
 //!
 //! Random grids of per-lane configurations (controlled/uncontrolled,
-//! tight/loose thresholds, sensor delay and noise, mixed programs,
-//! uneven budgets) are run at lane widths 1, 4, 8, and 9 — one past the
+//! tight/loose thresholds, sensor delay and noise, symmetric and
+//! asymmetric actuation scopes, mixed programs, uneven budgets) are run at lane widths 1, 4, 8, and 9 — one past the
 //! widest regular group, so a ragged tail lane is always exercised —
 //! and every lane must agree with its scalar twin on the run report,
 //! the architectural digest, and every per-cycle trace sample to the
@@ -14,7 +14,7 @@
 
 use voltctl_check::{check, ensure, ensure_eq, usize_in, Config};
 use voltctl_core::calibrate::calibrated_pdn;
-use voltctl_core::loopsim::LoopSample;
+use voltctl_core::loopsim::{ControlLoopBuilder, LoopSample};
 use voltctl_core::prelude::*;
 use voltctl_core::sensor::SensorConfig;
 use voltctl_core::LaneLoop;
@@ -59,6 +59,7 @@ struct LaneConfig {
     thresholds: Option<Thresholds>,
     delay: u32,
     noise_mv: f64,
+    actuator: AsymmetricActuator,
     budget: u64,
 }
 
@@ -89,11 +90,29 @@ impl LaneConfig {
             thresholds,
             delay: (rng.next_u64() % 4) as u32,
             noise_mv: if !tight && rng.next_bool() { 10.0 } else { 0.0 },
+            actuator: Self::draw_actuator(rng),
             budget: 300 + rng.next_u64() % 900,
         }
     }
 
-    fn build(&self, pdn: &PdnModel, power: &PowerModel) -> ControlLoop {
+    /// A symmetric scope or an asymmetric reduce/increase pair. Lanes
+    /// sharing a CPU then command different gatings for the same action,
+    /// which the lane path's gating partition must split apart.
+    fn draw_actuator(rng: &mut Rng) -> AsymmetricActuator {
+        let symmetric = rng.next_bool();
+        let scopes = ActuationScope::all();
+        let mut scope = || scopes[(rng.next_u64() % scopes.len() as u64) as usize];
+        if symmetric {
+            AsymmetricActuator::symmetric(scope())
+        } else {
+            AsymmetricActuator {
+                reduce: scope(),
+                increase: scope(),
+            }
+        }
+    }
+
+    fn builder(&self, pdn: &PdnModel, power: &PowerModel) -> ControlLoopBuilder {
         let program = if self.mix {
             mix_program()
         } else {
@@ -107,32 +126,20 @@ impl LaneConfig {
                 delay_cycles: self.delay,
                 noise_mv: self.noise_mv,
                 seed: 0xd1d7,
-            });
+            })
+            .actuator(self.actuator);
         if let Some(t) = self.thresholds {
             b = b.thresholds(t);
         }
-        b.build().unwrap()
+        b
+    }
+
+    fn build(&self, pdn: &PdnModel, power: &PowerModel) -> ControlLoop {
+        self.builder(pdn, power).build().unwrap()
     }
 
     fn restore(&self, pdn: &PdnModel, power: &PowerModel, bytes: &[u8]) -> ControlLoop {
-        let program = if self.mix {
-            mix_program()
-        } else {
-            spin_program()
-        };
-        let mut b = ControlLoop::builder(program)
-            .power(power.clone())
-            .pdn(pdn.clone())
-            .record_trace(true)
-            .sensor(SensorConfig {
-                delay_cycles: self.delay,
-                noise_mv: self.noise_mv,
-                seed: 0xd1d7,
-            });
-        if let Some(t) = self.thresholds {
-            b = b.thresholds(t);
-        }
-        b.restore(bytes).unwrap()
+        self.builder(pdn, power).restore(bytes).unwrap()
     }
 }
 

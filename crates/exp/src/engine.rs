@@ -492,8 +492,8 @@ fn run_cells_batched<P: Profiler>(
             let chunk_label = format!("chunk{c}");
 
             // Gather: build every batchable cell's lanes, dedupe exact
-            // replicas, and transpose the survivors into one SoA lane
-            // loop. `origin[i]` maps logical lane `i` to its simulated
+            // replicas, and gather the survivors into one lane loop.
+            // `origin[i]` maps logical lane `i` to its simulated
             // representative.
             let span = Span::start(profiler);
             let mut sims = Vec::new();

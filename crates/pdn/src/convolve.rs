@@ -259,10 +259,8 @@ impl Convolver {
 /// would, but the accumulation order differs (tap-serial here vs. the
 /// scalar path's four-way unroll), so lane outputs agree to rounding —
 /// not bitwise. This path backs batch *replay* sweeps (one trace, many
-/// kernels); the closed control loop batches over [`PdnLanes`], which is
-/// bitwise.
-///
-/// [`PdnLanes`]: crate::state_space::PdnLanes
+/// kernels); the closed control loop steps each lane's own
+/// [`PdnState`](crate::state_space::PdnState), which is bitwise.
 #[derive(Debug, Clone)]
 pub struct LaneConvolver {
     /// Kernel reversed, as in [`Convolver`].

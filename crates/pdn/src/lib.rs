@@ -73,7 +73,7 @@ pub use cache::{cached_kernel_for, kernel_cache_stats, CacheStats, ShardedLru};
 pub use emergency::{EmergencyReport, VoltageHistogram, VoltageMonitor};
 pub use response::{FrequencyResponse, ResponseMetrics, StepResponse};
 pub use second_order::{PdnError, PdnModel, PdnModelBuilder};
-pub use state_space::{PdnLanes, PdnState};
+pub use state_space::PdnState;
 pub use supply::Supply;
 
 /// Default nominal supply voltage used throughout the paper (volts).

@@ -164,93 +164,6 @@ impl PdnState {
     }
 }
 
-/// Structure-of-arrays stepper for W supply networks advanced in lockstep.
-///
-/// Built by [`PdnLanes::gather`] from per-lane [`PdnState`]s and scattered
-/// back with [`PdnLanes::scatter`]. Each lane's update is the *identical*
-/// floating-point expression [`PdnState::step`] evaluates — same operations,
-/// same association — so a lane's voltage sequence is bit-for-bit the
-/// sequence the scalar stepper would produce. The per-field layout
-/// (coefficients, state components, and reference currents each contiguous)
-/// lets [`step_lane`](PdnLanes::step_lane) inline into a branch-free
-/// multi-lane pass.
-#[derive(Debug, Clone, Default)]
-pub struct PdnLanes {
-    ad_a: Vec<f64>,
-    ad_b: Vec<f64>,
-    ad_c: Vec<f64>,
-    ad_d: Vec<f64>,
-    bd_x: Vec<f64>,
-    bd_y: Vec<f64>,
-    x_x: Vec<f64>,
-    x_y: Vec<f64>,
-    v_nominal: Vec<f64>,
-    i_ref: Vec<f64>,
-}
-
-impl PdnLanes {
-    /// Transposes per-lane steppers into the lane layout.
-    pub fn gather(states: &[PdnState]) -> PdnLanes {
-        PdnLanes {
-            ad_a: states.iter().map(|s| s.ad.a).collect(),
-            ad_b: states.iter().map(|s| s.ad.b).collect(),
-            ad_c: states.iter().map(|s| s.ad.c).collect(),
-            ad_d: states.iter().map(|s| s.ad.d).collect(),
-            bd_x: states.iter().map(|s| s.bd.x).collect(),
-            bd_y: states.iter().map(|s| s.bd.y).collect(),
-            x_x: states.iter().map(|s| s.x.x).collect(),
-            x_y: states.iter().map(|s| s.x.y).collect(),
-            v_nominal: states.iter().map(|s| s.v_nominal).collect(),
-            i_ref: states.iter().map(|s| s.i_ref).collect(),
-        }
-    }
-
-    /// The number of lanes.
-    pub fn width(&self) -> usize {
-        self.x_x.len()
-    }
-
-    /// Lane `lane`'s nominal supply voltage.
-    pub fn v_nominal(&self, lane: usize) -> f64 {
-        self.v_nominal[lane]
-    }
-
-    /// Reconstructs lane `lane` as a standalone [`PdnState`] carrying the
-    /// exact bit patterns the lane currently holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is out of range.
-    pub fn scatter(&self, lane: usize) -> PdnState {
-        PdnState {
-            ad: Mat2 {
-                a: self.ad_a[lane],
-                b: self.ad_b[lane],
-                c: self.ad_c[lane],
-                d: self.ad_d[lane],
-            },
-            bd: Vec2::new(self.bd_x[lane], self.bd_y[lane]),
-            x: Vec2::new(self.x_x[lane], self.x_y[lane]),
-            v_nominal: self.v_nominal[lane],
-            i_ref: self.i_ref[lane],
-        }
-    }
-
-    /// Advances lane `lane` one cycle under load current `i_load`,
-    /// returning the die voltage — the same expression as
-    /// [`PdnState::step`], term for term.
-    #[inline]
-    pub fn step_lane(&mut self, lane: usize, i_load: f64) -> f64 {
-        let u = i_load - self.i_ref[lane];
-        let (xx, xy) = (self.x_x[lane], self.x_y[lane]);
-        let nx = self.ad_a[lane] * xx + self.ad_b[lane] * xy + self.bd_x[lane] * u;
-        let ny = self.ad_c[lane] * xx + self.ad_d[lane] * xy + self.bd_y[lane] * u;
-        self.x_x[lane] = nx;
-        self.x_y[lane] = ny;
-        self.v_nominal[lane] + nx
-    }
-}
-
 impl voltctl_snap::Pack for PdnState {
     fn pack(&self, w: &mut voltctl_snap::ByteWriter) {
         self.ad.pack(w);
@@ -462,43 +375,6 @@ mod tests {
             let i = if k % 33 < 11 { 42.0 } else { 4.0 };
             let (va, vb) = (s.step(i), rebuilt.step(i));
             assert!((va - vb).abs() < 1e-9, "cycle {k}: {va} vs {vb}");
-        }
-    }
-
-    #[test]
-    fn lanes_match_scalar_steppers_bitwise() {
-        let m = model();
-        let mut scalars: Vec<PdnState> = (0..5)
-            .map(|k| {
-                let mut s = m.discretize();
-                s.set_reference_current(4.0 + k as f64);
-                // Desynchronize the transients so every lane carries a
-                // distinct state into the gather.
-                for j in 0..(50 * (k + 1)) {
-                    s.step(if j % 13 < 5 { 38.0 } else { 7.0 });
-                }
-                s
-            })
-            .collect();
-        let mut lanes = PdnLanes::gather(&scalars);
-        assert_eq!(lanes.width(), 5);
-        // Gathered state scatters back identically before any stepping.
-        for (k, s) in scalars.iter().enumerate() {
-            assert_eq!(lanes.scatter(k).voltage().to_bits(), s.voltage().to_bits());
-        }
-        for cycle in 0..3_000u64 {
-            for (k, s) in scalars.iter_mut().enumerate() {
-                let i = ((cycle * 17 + k as u64 * 5) % 41) as f64;
-                let vs = s.step(i);
-                let vl = lanes.step_lane(k, i);
-                assert_eq!(vs.to_bits(), vl.to_bits(), "lane {k} cycle {cycle}");
-            }
-        }
-        // And the post-run scatter still continues bit-for-bit.
-        let mut back = lanes.scatter(3);
-        for cycle in 0..500 {
-            let i = ((cycle * 7) % 29) as f64;
-            assert_eq!(back.step(i).to_bits(), scalars[3].step(i).to_bits());
         }
     }
 

@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 use voltctl_check::Json;
 use voltctl_exp::bench::DEFAULT_PERF_DIR;
 use voltctl_exp::{find, run_scenario, BenchPoint, BenchSuite, Ctx};
+use voltctl_telemetry::Rng;
 
 /// The seeded request mix: a spread of instant analytic scenarios and
 /// seconds-class control-loop scenarios, so full-scale runs are
@@ -65,7 +66,7 @@ pub struct BenchOpts {
     /// Concurrent closed-loop client connections (and, for an
     /// in-process daemon, its worker count).
     pub connections: usize,
-    /// Mix seed: request `i` runs `MIX[splitmix64(seed + i) % MIX.len()]`.
+    /// Mix seed: request `i` runs `MIX[Rng::new(seed + i).next_u64() % MIX.len()]`.
     pub seed: u64,
 }
 
@@ -95,16 +96,10 @@ pub struct BenchReport {
     pub paths: Vec<PathBuf>,
 }
 
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The scenario for request `i` under `seed`.
 pub fn mixed_scenario(seed: u64, i: usize) -> &'static str {
-    MIX[(splitmix64(seed.wrapping_add(i as u64)) % MIX.len() as u64) as usize]
+    let roll = Rng::new(seed.wrapping_add(i as u64)).next_u64();
+    MIX[(roll % MIX.len() as u64) as usize]
 }
 
 fn percentile(sorted_ns: &[u64], q: f64) -> f64 {

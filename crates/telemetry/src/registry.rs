@@ -163,7 +163,9 @@ pub fn bucket_hi(idx: usize) -> u64 {
 
 /// A log-linear histogram of `u64` observations (latencies in
 /// nanoseconds throughout the serve stack). Bucket bounds are fixed at
-/// compile time; `observe` is two relaxed atomic adds.
+/// compile time; `observe` is a relaxed atomic add plus a saturating
+/// update of the sum. The sum saturates at `u64::MAX`, in the live
+/// histogram and in [`HistSnapshot::merge`] alike.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
@@ -188,7 +190,13 @@ impl Histogram {
     /// Records one observation.
     pub fn observe(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        // Histograms are observed per request or shard, so a
+        // compare-exchange loop costs nothing that matters.
+        let _ = self
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s.saturating_add(v))
+            });
     }
 
     /// A point-in-time copy of the bucket counts. (Concurrent observers
@@ -213,7 +221,7 @@ impl Histogram {
 pub struct HistSnapshot {
     /// Per-bucket observation counts (`NUM_BUCKETS` long).
     pub counts: Vec<u64>,
-    /// Sum of all observed values.
+    /// Sum of all observed values, saturating at `u64::MAX`.
     pub sum: u64,
 }
 
@@ -237,12 +245,13 @@ impl HistSnapshot {
         self.counts.iter().sum()
     }
 
-    /// Folds `other` in (elementwise bucket addition).
+    /// Folds `other` in (elementwise bucket addition; the sum saturates
+    /// as the live histogram's does).
     pub fn merge(&mut self, other: &HistSnapshot) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// The bucket `(lo, hi)` bounds containing the `q`-quantile
@@ -623,6 +632,24 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, combined.snapshot());
+    }
+
+    #[test]
+    fn sum_saturates_alike_live_and_merged() {
+        let (x, y) = (u64::MAX - 5, 1u64 << 40);
+        let reg = Registry::new();
+        let live = reg.histogram("test_big_ns", "big", &[]);
+        live.observe(x);
+        live.observe(y);
+        let (a, b) = (Histogram::new(), Histogram::new());
+        a.observe(x);
+        b.observe(y);
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged.sum, u64::MAX);
+        assert_eq!(live.snapshot(), merged);
+        let line = format!("test_big_ns_sum {}\n", merged.sum as f64);
+        assert!(reg.render_prometheus().contains(&line));
     }
 
     #[test]
