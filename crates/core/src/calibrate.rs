@@ -77,4 +77,39 @@ mod tests {
         );
         assert_eq!(cal.v_nominal(), base.v_nominal());
     }
+
+    #[test]
+    fn fitted_inductance_and_capacitance_bits_are_pinned() {
+        // (percent of target, L bits, C bits, peak impedance bits),
+        // recorded from the reference fit; the fit must stay bit-stable.
+        #[rustfmt::skip]
+        const PINS: &[(f64, u64, u64, u64)] = &[
+            (1.0, 0x3d85d3c4988a6150, 0x3ed1203641efafdb, 0x3f57c4645a75a428),
+            (1.5, 0x3d8b8e6243981746, 0x3ecb2174ee8d5040, 0x3f61d34b43d83b20),
+            (2.0, 0x3d902553842e4c53, 0x3ec726ef8cba98a1, 0x3f67c4645a75a426),
+            (2.5, 0x3d9235cf6dcc4014, 0x3ec4870804eb7b41, 0x3f6db57d71130d2e),
+            (3.0, 0x3d94107a2f666019, 0x3ec2a1689ab76475, 0x3f71d34b43d83b1c),
+            (3.5, 0x3d95c30189031036, 0x3ec12d6731083fcc, 0x3f74cbd7cf26efa1),
+            (4.0, 0x3d97561c7e61e622, 0x3ec004afce16ae9a, 0x3f77c4645a75a429),
+        ];
+        let power = PowerModel::new(PowerParams::paper_3ghz());
+        let base = PdnModel::paper_default().unwrap();
+        let got: Vec<String> = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+            .iter()
+            .map(|&pct| {
+                let m = calibrated_pdn(&base, &power, pct).unwrap();
+                format!(
+                    "({pct:?}, {:#018x}, {:#018x}, {:#018x}),",
+                    m.inductance().to_bits(),
+                    m.capacitance().to_bits(),
+                    m.peak_impedance().to_bits()
+                )
+            })
+            .collect();
+        let expected: Vec<String> = PINS
+            .iter()
+            .map(|(pct, l, c, z)| format!("({pct:?}, {l:#018x}, {c:#018x}, {z:#018x}),"))
+            .collect();
+        assert!(got == expected, "fit bits moved:\n{}", got.join("\n"));
+    }
 }

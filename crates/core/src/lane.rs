@@ -3,7 +3,7 @@
 //! A grid experiment steps hundreds of independent control loops, and
 //! [`Cpu::step`] is most of each loop's cycle. [`LaneLoop`] steps W loops
 //! in lockstep and wins by **CPU sharing**: the simulator is fully
-//! deterministic, so two lanes whose CPUs are byte-identical (same
+//! deterministic, so two lanes whose CPUs hold the same state (same
 //! program, configuration, architectural and microarchitectural state —
 //! including clock-gating) and whose power models are
 //! parameter-identical *must* produce identical activity every cycle
@@ -103,8 +103,9 @@ impl LaneLoop {
     /// or earlier when its program finishes — exactly
     /// [`ControlLoop::step_n`] semantics).
     ///
-    /// Lanes whose CPUs are byte-identical and whose power models are
-    /// parameter-identical are placed in one shared-CPU group.
+    /// Lanes whose CPUs hold the same state (`Cpu`'s `PartialEq`: equal
+    /// snapshot images) and whose power models are parameter-identical
+    /// are placed in one shared-CPU group.
     ///
     /// # Panics
     ///
@@ -113,35 +114,26 @@ impl LaneLoop {
         assert_eq!(loops.len(), budgets.len(), "one budget per lane");
         let mut lanes = Vec::with_capacity(loops.len());
         let mut groups: Vec<LaneGroup> = Vec::new();
-
-        // Group keys: (power fingerprint, fnv of CPU bytes, CPU bytes).
-        // The byte image embeds the program digest and configuration
-        // fingerprint, so byte equality really does imply identical
-        // future behavior under identical gating commands.
-        let mut keys: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+        // Power fingerprint of each group, parallel to `groups`.
+        let mut power_fps: Vec<u64> = Vec::new();
 
         for (lane, (sim, &budget)) in loops.into_iter().zip(budgets).enumerate() {
             let ControlLoop {
                 cpu, power, post, ..
             } = sim;
             let power_fp = power_fingerprint(&power);
-            let mut w = voltctl_snap::ByteWriter::new();
-            cpu.pack_state(&mut w);
-            let cpu_bytes = w.into_bytes();
-            let cpu_fp = voltctl_snap::fnv1a(&cpu_bytes);
-
-            let group = keys
-                .iter()
-                .position(|(pfp, cfp, bytes)| {
-                    *pfp == power_fp && *cfp == cpu_fp && *bytes == cpu_bytes
-                })
+            // The power fingerprint and the CPU's scalar fields (compared
+            // first by `Cpu::eq`) screen out most candidates before the
+            // memory image and cache arrays are compared.
+            let group = (0..groups.len())
+                .find(|&g| power_fps[g] == power_fp && groups[g].cpu == cpu)
                 .unwrap_or_else(|| {
                     groups.push(LaneGroup {
                         cpu,
                         power,
                         lanes: Vec::new(),
                     });
-                    keys.push((power_fp, cpu_fp, cpu_bytes));
+                    power_fps.push(power_fp);
                     groups.len() - 1
                 });
             groups[group].lanes.push(lane);
@@ -155,6 +147,13 @@ impl LaneLoop {
             });
         }
         LaneLoop { lanes, groups }
+    }
+
+    /// The CPU group a lane currently runs in. Right after
+    /// [`gather`](LaneLoop::gather), lanes share a group exactly when
+    /// their CPUs and power models were identical.
+    pub fn group_of(&self, lane: usize) -> usize {
+        self.lanes[lane].group
     }
 
     /// Number of CPU groups that still have running lanes.
@@ -203,9 +202,19 @@ impl LaneLoop {
 
     /// Scatters every lane back into a scalar [`ControlLoop`], in lane
     /// order. Each scattered loop continues bit-for-bit from where the
-    /// lane left off.
+    /// lane left off. Parked CPUs (every lane's, once [`run`](LaneLoop::run)
+    /// returns) move into their loops; live lanes get clones of their
+    /// group's CPU.
     pub fn into_loops(self) -> Vec<ControlLoop> {
-        (0..self.lanes.len()).map(|l| self.lane_loop(l)).collect()
+        let LaneLoop { lanes, groups } = self;
+        lanes
+            .into_iter()
+            .map(|lane| {
+                let group = &groups[lane.group];
+                let cpu = lane.parked.unwrap_or_else(|| group.cpu.clone());
+                ControlLoop::assemble(cpu, group.power.clone(), lane.post)
+            })
+            .collect()
     }
 
     /// Runs every lane to its exit (budget spent or program finished);

@@ -148,6 +148,44 @@ fn grid(seed: u64, width: usize) -> Vec<LaneConfig> {
     (0..width).map(|_| LaneConfig::draw(&mut rng)).collect()
 }
 
+/// The grouping the CPU snapshot images imply, as group indices in
+/// first-appearance order: a lane joins the first earlier lane whose CPU
+/// packs to the same bytes. Every lane of a grid shares one power model,
+/// so the image alone is the key.
+fn byte_image_groups(loops: &[ControlLoop]) -> Vec<usize> {
+    let images: Vec<Vec<u8>> = loops
+        .iter()
+        .map(|l| {
+            let mut w = voltctl_snap::ByteWriter::new();
+            l.cpu().pack_state(&mut w);
+            w.into_bytes()
+        })
+        .collect();
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut groups = Vec::with_capacity(images.len());
+    for (lane, image) in images.iter().enumerate() {
+        let group = firsts
+            .iter()
+            .position(|&f| images[f] == *image)
+            .unwrap_or_else(|| {
+                firsts.push(lane);
+                firsts.len() - 1
+            });
+        groups.push(group);
+    }
+    groups
+}
+
+/// Gathers `loops`, checking that `gather` groups exactly the lanes
+/// whose CPU snapshot images are equal.
+fn gather_checked(loops: Vec<ControlLoop>, budgets: &[u64]) -> Result<LaneLoop, String> {
+    let want = byte_image_groups(&loops);
+    let lanes = LaneLoop::gather(loops, budgets);
+    let got: Vec<usize> = (0..want.len()).map(|l| lanes.group_of(l)).collect();
+    ensure_eq!(got, want, "gather grouping vs byte-image grouping");
+    Ok(lanes)
+}
+
 fn sample_bits_equal(a: &LoopSample, b: &LoopSample) -> bool {
     a.current.to_bits() == b.current.to_bits()
         && a.voltage.to_bits() == b.voltage.to_bits()
@@ -172,10 +210,10 @@ fn lanes_match_scalar_bitwise_over_random_grids() {
             let configs = grid(*seed as u64, width);
             let budgets: Vec<u64> = configs.iter().map(|c| c.budget).collect();
 
-            let mut lanes = LaneLoop::gather(
+            let mut lanes = gather_checked(
                 configs.iter().map(|c| c.build(&pdn, &power)).collect(),
                 &budgets,
-            );
+            )?;
             lanes.run();
 
             for (l, config) in configs.iter().enumerate() {
@@ -226,10 +264,10 @@ fn mid_run_save_restore_continues_bitwise() {
 
             // First half under lanes, checkpoint, second half under
             // lanes again on the restored loops.
-            let mut first = LaneLoop::gather(
+            let mut first = gather_checked(
                 configs.iter().map(|c| c.build(&pdn, &power)).collect(),
                 &splits,
-            );
+            )?;
             first.run();
             let mut restored = Vec::with_capacity(width);
             for (l, config) in configs.iter().enumerate() {
@@ -239,7 +277,7 @@ fn mid_run_save_restore_continues_bitwise() {
                 ensure_eq!(bytes, paused.save());
                 restored.push(config.restore(&pdn, &power, &bytes));
             }
-            let mut second = LaneLoop::gather(restored, &rests);
+            let mut second = gather_checked(restored, &rests)?;
             second.run();
 
             for (l, config) in configs.iter().enumerate() {

@@ -224,6 +224,25 @@ impl voltctl_snap::Unpack for Counter2 {
     }
 }
 
+impl PartialEq for BranchPredictor {
+    fn eq(&self, other: &BranchPredictor) -> bool {
+        self.history == other.history
+            && self.history_mask == other.history_mask
+            && self.ras_top == other.ras_top
+            && self.ras_capacity == other.ras_capacity
+            && self.lookups == other.lookups
+            && self.mispredicts == other.mispredicts
+            && self.ras == other.ras
+            && self.btb_targets == other.btb_targets
+            && crate::tables_eq(&self.btb_tags, &other.btb_tags)
+            && crate::tables_eq(&self.bimodal, &other.bimodal)
+            && crate::tables_eq(&self.gshare, &other.gshare)
+            && crate::tables_eq(&self.chooser, &other.chooser)
+    }
+}
+
+impl Eq for BranchPredictor {}
+
 impl voltctl_snap::Pack for BranchPredictor {
     fn pack(&self, w: &mut voltctl_snap::ByteWriter) {
         self.bimodal.pack(w);

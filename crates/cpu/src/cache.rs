@@ -145,6 +145,23 @@ impl Cache {
     }
 }
 
+impl PartialEq for Cache {
+    fn eq(&self, other: &Cache) -> bool {
+        self.sets == other.sets
+            && self.ways == other.ways
+            && self.line_shift == other.line_shift
+            && self.tick == other.tick
+            && self.accesses == other.accesses
+            && self.misses == other.misses
+            && self.writebacks == other.writebacks
+            && crate::tables_eq(&self.stamps, &other.stamps)
+            && crate::tables_eq(&self.dirty, &other.dirty)
+            && crate::tables_eq(&self.tags, &other.tags)
+    }
+}
+
+impl Eq for Cache {}
+
 impl voltctl_snap::Pack for Cache {
     fn pack(&self, w: &mut voltctl_snap::ByteWriter) {
         w.put_usize(self.sets);
@@ -219,7 +236,7 @@ pub struct HierarchyCounts {
 }
 
 /// The two-level hierarchy: split L1s over a unified L2 over flat memory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheHierarchy {
     /// L1 instruction cache.
     pub l1i: Cache,

@@ -46,6 +46,9 @@ use voltctl_snap::{Pack, Unpack};
 /// operation latency (memory miss chain + occupancy).
 const EVENT_RING: usize = 1024;
 
+/// The largest list capacity kept for reuse.
+const SPARE_CAPACITY: usize = 16;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
     Waiting,
@@ -55,7 +58,7 @@ enum EntryState {
 }
 
 /// A functionally executed instruction traveling through the pipeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct FetchedInst {
     inst: Inst,
     seq: u64,
@@ -64,7 +67,7 @@ struct FetchedInst {
     mispredicted_branch: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct RuuEntry {
     fetched: FetchedInst,
     state: EntryState,
@@ -118,6 +121,15 @@ pub struct Cpu {
     /// Scratch shared between `exec_and_package` and the fetch loop within
     /// a single cycle: whether the most recently executed branch was taken.
     last_branch_taken: bool,
+
+    // Derived state: a function of the window (or pure scratch), never
+    // serialized; `unpack_state` rebuilds it.
+    /// One bit per window slot, set exactly when the slot holds an entry
+    /// in `EntryState::Ready` — the issue stage's candidate set.
+    ready: Vec<u64>,
+    /// Emptied dependent lists and completion buckets, reused for new
+    /// ones instead of reallocating.
+    spare_lists: Vec<Vec<usize>>,
 }
 
 impl Cpu {
@@ -159,6 +171,8 @@ impl Cpu {
             next_seq: 0,
             stats: Stats::default(),
             last_branch_taken: false,
+            ready: vec![0; ruu_size.div_ceil(64)],
+            spare_lists: Vec::new(),
             config,
         })
     }
@@ -268,7 +282,7 @@ impl Cpu {
     fn writeback(&mut self, act: &mut CycleActivity) {
         let bucket = (self.cycle as usize) % EVENT_RING;
         let finished = std::mem::take(&mut self.completions[bucket]);
-        for slot in finished {
+        for &slot in &finished {
             let (seq, has_dest, dependents) = {
                 let entry = self.ruu[slot]
                     .as_mut()
@@ -285,19 +299,31 @@ impl Cpu {
             if has_dest {
                 act.regfile_writes += 1;
             }
-            for dep_slot in dependents {
+            for &dep_slot in &dependents {
                 if let Some(dep) = self.ruu[dep_slot].as_mut() {
                     debug_assert!(dep.deps_outstanding > 0);
                     dep.deps_outstanding -= 1;
                     if dep.deps_outstanding == 0 && dep.state == EntryState::Waiting {
                         dep.state = EntryState::Ready;
+                        set_bit(&mut self.ready, dep_slot);
                     }
                 }
             }
+            self.recycle(dependents);
             if self.fetch_blocked_on == Some(seq) {
                 self.fetch_blocked_on = None;
                 self.fetch_stall_until = self.cycle + self.config.branch_penalty;
             }
+        }
+        self.recycle(finished);
+    }
+
+    /// Keeps an emptied list for reuse, unless it was never allocated or
+    /// grew past `SPARE_CAPACITY` (rare long lists are not held on to).
+    fn recycle(&mut self, mut list: Vec<usize>) {
+        if (1..=SPARE_CAPACITY).contains(&list.capacity()) {
+            list.clear();
+            self.spare_lists.push(list);
         }
     }
 
@@ -337,87 +363,97 @@ impl Cpu {
         }
     }
 
+    /// Issues Ready entries oldest first, up to the issue width. The
+    /// candidates come from the ready mask, walked in age order; gating,
+    /// memory ordering and unit availability are checked per candidate.
     fn issue(&mut self, act: &mut CycleActivity) {
         let mut budget = self.config.issue_width;
-        let len = self.ruu.len();
-        for i in 0..self.ruu_count {
-            if budget == 0 {
+        let mut walk = ReadyWalk::new(self.ruu_head, self.ruu.len());
+        while budget > 0 {
+            let Some(slot) = walk.next(&self.ready) else {
                 break;
-            }
-            let slot = (self.ruu_head + i) % len;
-            let Some(entry) = self.ruu[slot].as_ref() else {
-                continue;
             };
-            if entry.state != EntryState::Ready {
-                continue;
+            if self.try_issue(slot, act) {
+                budget -= 1;
             }
-            let Some(fu_kind) = entry.fu else {
-                // Nops complete without a unit, one cycle after dispatch.
-                let entry = self.ruu[slot].as_mut().expect("present");
-                entry.state = EntryState::Issued;
-                self.schedule_completion(slot, 1);
-                continue;
-            };
-
-            // Gating: the FU domain covers all execution units; the DL1
-            // domain covers the memory ports.
-            if fu_kind == FuKind::MemPort {
-                if self.gating.gate_dl1 {
-                    continue;
-                }
-            } else if self.gating.gate_fu {
-                continue;
-            }
-
-            // Memory ordering: a load may not issue past an incomplete
-            // older store to an overlapping address.
-            let mut forward = false;
-            if entry.fetched.inst.is_load() {
-                match self.load_ordering(slot) {
-                    LoadOrder::Blocked => continue,
-                    LoadOrder::Forward => forward = true,
-                    LoadOrder::CacheAccess => {}
-                }
-            }
-
-            let timing = op_timing(entry.fetched.inst.op, &self.config.fu);
-            let latency = if entry.fetched.inst.op.is_mem() {
-                if forward {
-                    1
-                } else {
-                    let addr = entry.fetched.mem_addr.expect("mem op has address");
-                    let write = entry.fetched.inst.is_store();
-                    let (lat, counts) = self.caches.access_data(addr, write);
-                    act.dl1_accesses += counts.l1_accesses;
-                    act.dl1_misses += counts.l1_misses;
-                    act.l2_accesses += counts.l2_accesses;
-                    act.l2_misses += counts.l2_misses;
-                    lat
-                }
-            } else {
-                timing.latency
-            };
-            let exec_cycles = latency.max(timing.occupancy);
-
-            if !self
-                .fus
-                .try_issue(fu_kind, self.cycle, timing.occupancy, exec_cycles)
-            {
-                continue;
-            }
-
-            let entry = self.ruu[slot].as_mut().expect("present");
-            entry.state = EntryState::Issued;
-            act.issued += 1;
-            act.issued_per_fu[fu_kind.index()] += 1;
-            act.regfile_reads += entry.fetched.inst.effective_sources().count() as u32;
-            if forward {
-                act.lsq_forwards += 1;
-                self.stats.lsq_forwards += 1;
-            }
-            self.schedule_completion(slot, latency);
-            budget -= 1;
         }
+    }
+
+    /// Tries to issue the Ready entry in `slot`; returns whether it took
+    /// a functional unit (Nops issue without one and return false).
+    fn try_issue(&mut self, slot: usize, act: &mut CycleActivity) -> bool {
+        let entry = self.ruu[slot].as_ref().expect("ready slot is occupied");
+        debug_assert_eq!(entry.state, EntryState::Ready);
+        let Some(fu_kind) = entry.fu else {
+            // Nops complete without a unit, one cycle after dispatch.
+            self.mark_issued(slot);
+            self.schedule_completion(slot, 1);
+            return false;
+        };
+
+        // Gating: the FU domain covers all execution units; the DL1
+        // domain covers the memory ports.
+        if fu_kind == FuKind::MemPort {
+            if self.gating.gate_dl1 {
+                return false;
+            }
+        } else if self.gating.gate_fu {
+            return false;
+        }
+
+        // Memory ordering: a load may not issue past an incomplete
+        // older store to an overlapping address.
+        let mut forward = false;
+        if entry.fetched.inst.is_load() {
+            match self.load_ordering(slot) {
+                LoadOrder::Blocked => return false,
+                LoadOrder::Forward => forward = true,
+                LoadOrder::CacheAccess => {}
+            }
+        }
+
+        let timing = op_timing(entry.fetched.inst.op, &self.config.fu);
+        let latency = if entry.fetched.inst.op.is_mem() {
+            if forward {
+                1
+            } else {
+                let addr = entry.fetched.mem_addr.expect("mem op has address");
+                let write = entry.fetched.inst.is_store();
+                let (lat, counts) = self.caches.access_data(addr, write);
+                act.dl1_accesses += counts.l1_accesses;
+                act.dl1_misses += counts.l1_misses;
+                act.l2_accesses += counts.l2_accesses;
+                act.l2_misses += counts.l2_misses;
+                lat
+            }
+        } else {
+            timing.latency
+        };
+        let exec_cycles = latency.max(timing.occupancy);
+
+        if !self
+            .fus
+            .try_issue(fu_kind, self.cycle, timing.occupancy, exec_cycles)
+        {
+            return false;
+        }
+
+        let sources = entry.fetched.inst.effective_sources().count() as u32;
+        self.mark_issued(slot);
+        act.issued += 1;
+        act.issued_per_fu[fu_kind.index()] += 1;
+        act.regfile_reads += sources;
+        if forward {
+            act.lsq_forwards += 1;
+            self.stats.lsq_forwards += 1;
+        }
+        self.schedule_completion(slot, latency);
+        true
+    }
+
+    fn mark_issued(&mut self, slot: usize) {
+        self.ruu[slot].as_mut().expect("present").state = EntryState::Issued;
+        clear_bit(&mut self.ready, slot);
     }
 
     fn schedule_completion(&mut self, slot: usize, latency: u64) {
@@ -426,7 +462,11 @@ impl Cpu {
             "latency exceeds event ring"
         );
         let when = ((self.cycle + latency.max(1)) as usize) % EVENT_RING;
-        self.completions[when].push(slot);
+        let bucket = &mut self.completions[when];
+        if bucket.capacity() == 0 {
+            *bucket = self.spare_lists.pop().unwrap_or_default();
+        }
+        bucket.push(slot);
     }
 
     fn load_ordering(&self, load_slot: usize) -> LoadOrder {
@@ -436,26 +476,30 @@ impl Cpu {
             load.fetched.mem_bytes,
         );
         let l_seq = load.fetched.seq;
-        // Scan older LSQ entries (front is oldest); remember the youngest
-        // overlapping older store.
-        let mut youngest: Option<&RuuEntry> = None;
-        for &slot in &self.lsq {
-            let Some(e) = self.ruu[slot].as_ref() else {
-                continue;
-            };
-            if e.fetched.seq >= l_seq {
-                break;
-            }
-            if !e.fetched.inst.is_store() {
-                continue;
-            }
-            let s_addr = e.fetched.mem_addr.expect("store has address");
-            let s_bytes = e.fetched.mem_bytes;
-            let overlap = s_addr < l_addr + l_bytes as u64 && l_addr < s_addr + s_bytes as u64;
-            if overlap {
-                youngest = Some(e);
-            }
-        }
+        // The LSQ is in program order (front is oldest), so the older
+        // entries are the prefix before the load. Walk it youngest first:
+        // the first overlapping store met is the youngest older one.
+        let seq_of = |slot: usize| {
+            self.ruu[slot]
+                .as_ref()
+                .expect("LSQ slot is live")
+                .fetched
+                .seq
+        };
+        let older = self.lsq.partition_point(|&slot| seq_of(slot) < l_seq);
+        let youngest = self
+            .lsq
+            .range(..older)
+            .rev()
+            .map(|&slot| self.ruu[slot].as_ref().expect("LSQ slot is live"))
+            .find(|e| {
+                if !e.fetched.inst.is_store() {
+                    return false;
+                }
+                let s_addr = e.fetched.mem_addr.expect("store has address");
+                let s_bytes = e.fetched.mem_bytes;
+                s_addr < l_addr + l_bytes as u64 && l_addr < s_addr + s_bytes as u64
+            });
         match youngest {
             None => LoadOrder::CacheAccess,
             Some(store) if store.state == EntryState::Complete => LoadOrder::Forward,
@@ -497,6 +541,7 @@ impl Cpu {
             }
             let fu = FuKind::for_opcode(fetched.inst.op);
             let state = if deps == 0 {
+                set_bit(&mut self.ready, slot);
                 EntryState::Ready
             } else {
                 EntryState::Waiting
@@ -511,7 +556,7 @@ impl Cpu {
                 fetched,
                 state,
                 deps_outstanding: deps,
-                dependents: Vec::new(),
+                dependents: self.spare_lists.pop().unwrap_or_default(),
                 fu,
             });
             self.ruu_count += 1;
@@ -733,6 +778,71 @@ impl Cpu {
             mem_bytes,
             mispredicted_branch: mispredicted,
         }
+    }
+}
+
+/// Two processors are equal when they hold the same simulated state — the
+/// state their [`Cpu::pack_state`] images encode: the same program and
+/// configuration, and equal architectural and microarchitectural state.
+/// Derived state and scratch (the ready mask, the spare-list pool) is
+/// left out. Cheap scalar fields are compared first, so unequal machines
+/// usually differ before the memory image and cache arrays are reached.
+impl PartialEq for Cpu {
+    fn eq(&self, other: &Cpu) -> bool {
+        let Cpu {
+            config,
+            program,
+            regs,
+            memory,
+            pc,
+            fetch_done,
+            bpred,
+            fetch_queue,
+            fetch_stall_until,
+            fetch_blocked_on,
+            ruu,
+            ruu_head,
+            ruu_count,
+            lsq,
+            reg_producer,
+            caches,
+            fus,
+            completions,
+            gating,
+            cycle,
+            next_seq,
+            stats,
+            last_branch_taken,
+            ready: _,
+            spare_lists: _,
+        } = self;
+        *cycle == other.cycle
+            && *next_seq == other.next_seq
+            && *pc == other.pc
+            && *fetch_done == other.fetch_done
+            && *fetch_stall_until == other.fetch_stall_until
+            && *fetch_blocked_on == other.fetch_blocked_on
+            && *ruu_head == other.ruu_head
+            && *ruu_count == other.ruu_count
+            && *gating == other.gating
+            && *last_branch_taken == other.last_branch_taken
+            && *stats == other.stats
+            && *regs == other.regs
+            && *reg_producer == other.reg_producer
+            && *config == other.config
+            && *program == other.program
+            && *lsq == other.lsq
+            && *fetch_queue == other.fetch_queue
+            && *fus == other.fus
+            && *ruu == other.ruu
+            && completions.len() == other.completions.len()
+            && completions
+                .iter()
+                .zip(&other.completions)
+                .all(|(a, b)| crate::tables_eq(a, b))
+            && *bpred == other.bpred
+            && *memory == other.memory
+            && *caches == other.caches
     }
 }
 
@@ -961,6 +1071,8 @@ impl Cpu {
         }
 
         Ok(Cpu {
+            ready: ready_mask(&ruu),
+            spare_lists: Vec::new(),
             config,
             program: program.clone(),
             regs,
@@ -985,6 +1097,81 @@ impl Cpu {
             stats,
             last_branch_taken,
         })
+    }
+}
+
+/// The ready mask of a window: bit `slot` set when the slot holds an
+/// entry in `EntryState::Ready`.
+fn ready_mask(ruu: &[Option<RuuEntry>]) -> Vec<u64> {
+    let mut mask = vec![0u64; ruu.len().div_ceil(64)];
+    for (slot, entry) in ruu.iter().enumerate() {
+        if entry.as_ref().is_some_and(|e| e.state == EntryState::Ready) {
+            set_bit(&mut mask, slot);
+        }
+    }
+    mask
+}
+
+fn set_bit(mask: &mut [u64], i: usize) {
+    mask[i / 64] |= 1 << (i % 64);
+}
+
+fn clear_bit(mask: &mut [u64], i: usize) {
+    mask[i / 64] &= !(1 << (i % 64));
+}
+
+/// The first set bit of `mask` in `from..end`.
+fn next_set_bit(mask: &[u64], from: usize, end: usize) -> Option<usize> {
+    if from >= end {
+        return None;
+    }
+    let mut word = from / 64;
+    let mut bits = mask[word] & (!0u64 << (from % 64));
+    loop {
+        if bits != 0 {
+            let i = word * 64 + bits.trailing_zeros() as usize;
+            return (i < end).then_some(i);
+        }
+        word += 1;
+        if word * 64 >= end {
+            return None;
+        }
+        bits = mask[word];
+    }
+}
+
+/// An age-ordered walk over the set bits of a window mask: slots
+/// `head..len`, then the wrapped part `0..head`. The walk re-reads the
+/// mask at each step, so clearing bits it has already passed is safe.
+struct ReadyWalk {
+    head: usize,
+    len: usize,
+    next: usize,
+    wrapped: bool,
+}
+
+impl ReadyWalk {
+    fn new(head: usize, len: usize) -> ReadyWalk {
+        ReadyWalk {
+            head,
+            len,
+            next: head,
+            wrapped: false,
+        }
+    }
+
+    fn next(&mut self, mask: &[u64]) -> Option<usize> {
+        if !self.wrapped {
+            if let Some(i) = next_set_bit(mask, self.next, self.len) {
+                self.next = i + 1;
+                return Some(i);
+            }
+            self.wrapped = true;
+            self.next = 0;
+        }
+        let i = next_set_bit(mask, self.next, self.head)?;
+        self.next = i + 1;
+        Some(i)
     }
 }
 
@@ -1471,5 +1658,142 @@ mod tests {
                 "truncation at {cut} must be rejected"
             );
         }
+    }
+    /// The issue candidates by a full scan of the occupied window, oldest
+    /// first — the pre-mask issue loop, kept as the oracle for the walk.
+    fn scan_order(cpu: &Cpu) -> Vec<usize> {
+        let len = cpu.ruu.len();
+        (0..cpu.ruu_count)
+            .map(|i| (cpu.ruu_head + i) % len)
+            .filter(|&slot| {
+                cpu.ruu[slot]
+                    .as_ref()
+                    .is_some_and(|e| e.state == EntryState::Ready)
+            })
+            .collect()
+    }
+
+    /// The issue candidates as the issue stage walks them.
+    fn walk_order(cpu: &Cpu) -> Vec<usize> {
+        let mut walk = ReadyWalk::new(cpu.ruu_head, cpu.ruu.len());
+        std::iter::from_fn(|| walk.next(&cpu.ready)).collect()
+    }
+
+    /// One generated instruction: (kind, a, x, y) register/offset picks.
+    type GenOp = (usize, usize, usize, usize);
+
+    /// A looping program over int, multiply, divide, FP, and loads and
+    /// stores of 4 and 8 bytes at 4-byte-spaced offsets of one buffer, so
+    /// accesses partly overlap (forwarding and blocked loads), plus a
+    /// page-striding load that misses and fills the window.
+    fn random_program(ops: &[GenOp]) -> Program {
+        let base = IntReg::new(20);
+        let stride = IntReg::new(22);
+        let trips = IntReg::new(21);
+        let r = |i: usize| IntReg::new(1 + i as u8);
+        let f = |i: usize| FpReg::new(1 + i as u8);
+        let mut b = ProgramBuilder::new("issue-order");
+        b.data_f64(0x4000, &[1.5, 2.25, 3.0, 0.5, 7.0, 11.0]);
+        b.lda(base, IntReg::R31, 0x4000);
+        b.lda(stride, IntReg::R31, 0x10_0000);
+        b.lda(trips, IntReg::R31, 40);
+        for k in 0..6 {
+            b.ldt(f(k), 8 * k as i64, base);
+        }
+        b.label("top");
+        for &(kind, a, x, y) in ops {
+            let disp = 4 * y as i64;
+            match kind {
+                0 => b.addq(r(a), r(x), r(y)),
+                1 => b.addq_imm(r(a), r(x), y as i64 + 1),
+                2 => b.mulq(r(a), r(x), r(y)),
+                3 => b.divq(r(a), r(x), r(y)),
+                4 => b.addt(f(a), f(x), f(y)),
+                5 => b.mult(f(a), f(x), f(y)),
+                6 => b.divt(f(a), f(x), f(y)),
+                7 => b.ldq(r(a), disp, base),
+                8 => b.stq(r(a), disp, base),
+                9 => b.ldl(r(a), disp, base),
+                10 => b.stl(r(a), disp, base),
+                11 => b.stt(f(a), disp, base),
+                12 => b.nop(),
+                _ => b.ldq(r(a), 0, stride).addq_imm(stride, stride, 4096),
+            };
+        }
+        b.subq_imm(trips, trips, 1);
+        b.bne(trips, "top");
+        b.halt();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn ready_walk_matches_window_scan() {
+        use voltctl_check::{check, ensure, ensure_eq, usize_in, vec_of, Config};
+        use voltctl_snap::{ByteReader, ByteWriter};
+
+        let op = (
+            usize_in(0, 14),
+            usize_in(0, 6),
+            usize_in(0, 6),
+            usize_in(0, 6),
+        );
+        // (program, gating schedule, snapshot cycle). Each schedule entry
+        // holds for 5 cycles: bit 0 gates the FUs, bit 1 the DL1, bit 2
+        // the IL1; entries 8 and up gate nothing, like entry 0.
+        let gen = (
+            vec_of(op, 1, 40),
+            vec_of(usize_in(0, 12), 1, 16),
+            usize_in(1, 600),
+        );
+        check(
+            "cpu.issue.ready-walk-vs-scan",
+            &Config::new(0x155e),
+            &gen,
+            |(ops, schedule, cut)| {
+                let program = random_program(ops);
+                let config = CpuConfig::table1();
+                let mut reference = Cpu::new(config.clone(), &program).unwrap();
+                let mut cpu = Cpu::new(config.clone(), &program).unwrap();
+                for cycle in 0..1_500usize {
+                    if reference.done() {
+                        break;
+                    }
+                    if cycle == *cut {
+                        let mut w = ByteWriter::new();
+                        cpu.pack_state(&mut w);
+                        let bytes = w.into_bytes();
+                        cpu = Cpu::unpack_state(
+                            config.clone(),
+                            &program,
+                            &mut ByteReader::new(&bytes),
+                        )
+                        .map_err(|e| e.to_string())?;
+                        ensure_eq!(cpu.ready, reference.ready);
+                    }
+                    let bits = match schedule[(cycle / 5) % schedule.len()] {
+                        bits @ 0..8 => bits,
+                        _ => 0,
+                    };
+                    let gating = GatingState {
+                        gate_fu: bits & 1 != 0,
+                        gate_dl1: bits & 2 != 0,
+                        gate_il1: bits & 4 != 0,
+                        ..GatingState::default()
+                    };
+                    for c in [&mut reference, &mut cpu] {
+                        *c.gating_mut() = gating;
+                        let (walk, scan) = (walk_order(c), scan_order(c));
+                        ensure!(
+                            walk == scan,
+                            "cycle {cycle}: walk {walk:?} != scan {scan:?}"
+                        );
+                    }
+                    ensure_eq!(cpu.step(), reference.step());
+                }
+                ensure_eq!(cpu.stats(), reference.stats());
+                ensure_eq!(cpu.arch_digest(), reference.arch_digest());
+                Ok(())
+            },
+        );
     }
 }

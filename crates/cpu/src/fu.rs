@@ -95,7 +95,7 @@ pub fn op_timing(op: Opcode, fu: &FuConfig) -> OpTiming {
 }
 
 /// The pool of functional units.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuPool {
     /// `busy_until[kind][unit]`: first cycle at which the unit is free.
     busy_until: [Vec<u64>; FuKind::COUNT],

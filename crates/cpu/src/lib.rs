@@ -57,3 +57,14 @@ pub use activity::{CycleActivity, Stats};
 pub use config::{BpredConfig, CacheConfig, CpuConfig, FuConfig};
 pub use fu::FuKind;
 pub use gating::{Domain, GatingState};
+
+/// Equality of two large tables, compared in fixed-size chunks without an
+/// early exit inside a chunk so the comparison vectorizes; unequal tables
+/// still stop at the first differing chunk.
+pub(crate) fn tables_eq<T: PartialEq>(a: &[T], b: &[T]) -> bool {
+    const CHUNK: usize = 256;
+    a.len() == b.len()
+        && a.chunks(CHUNK)
+            .zip(b.chunks(CHUNK))
+            .all(|(x, y)| x.iter().zip(y).fold(true, |eq, (p, q)| eq & (p == q)))
+}

@@ -6,14 +6,44 @@
 //! address ranges (to generate cache misses) without host memory cost.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// Page-number hasher: one multiply by the 64-bit golden ratio, with the
+/// high half folded into the low half so pages a power-of-two stride
+/// apart still spread over buckets. Page numbers come from the simulated
+/// programs' addresses or from a snapshot, where every page carries 4 KiB
+/// of data, so the snapshot's size bounds any crafted set of colliding
+/// keys. The map's iteration order is never observable (`digest` folds
+/// pages with XOR, `pack` sorts them), so SipHash buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
+
 /// Sparse, byte-addressable memory. Unwritten locations read as zero.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: PageMap,
 }
 
 impl Memory {
@@ -153,7 +183,7 @@ impl voltctl_snap::Pack for Memory {
 impl voltctl_snap::Unpack for Memory {
     fn unpack(r: &mut voltctl_snap::ByteReader<'_>) -> Result<Self, voltctl_snap::SnapError> {
         let n = r.get_count("memory page table")?;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = PageMap::with_capacity_and_hasher(n, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let pageno = r.get_u64()?;

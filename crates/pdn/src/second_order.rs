@@ -185,13 +185,15 @@ impl PdnModelBuilder {
         }
 
         let omega0 = 2.0 * std::f64::consts::PI * self.resonant_freq_hz;
+        // Every probe scans the same frequency grid, so it is built once.
+        let grid = LogGrid::around(omega0);
         // Parameterize by the characteristic impedance X = sqrt(L/C), which
         // fixes L = X / w0 and C = 1 / (X w0). Peak impedance is strictly
         // increasing in X, so bisection converges.
         let peak_for = |x: f64| -> f64 {
             let l = x / omega0;
             let c = 1.0 / (x * omega0);
-            peak_impedance_numeric(self.r_dc, l, c, omega0)
+            grid.peak(self.r_dc, l, c)
         };
 
         let mut lo = self.r_dc * 1e-3;
@@ -207,6 +209,12 @@ impl PdnModelBuilder {
         }
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            // Once the midpoint rounds onto an end point the bracket can
+            // only collapse onto it, so every further step would yield
+            // this same midpoint: stop probing.
+            if mid == lo || mid == hi {
+                break;
+            }
             if peak_for(mid) < self.peak_impedance {
                 lo = mid;
             } else {
@@ -237,46 +245,66 @@ impl PdnModelBuilder {
 /// Numerically locates `max_w |Z(jw)|` by dense log scan plus parabolic
 /// refinement around the best sample.
 fn peak_impedance_numeric(r: f64, l: f64, c: f64, omega_hint: f64) -> f64 {
-    let mag = |w: f64| impedance_magnitude(r, l, c, w);
-    let lo = omega_hint * 0.05;
-    let hi = omega_hint * 5.0;
-    let n = 4000;
-    let log_lo = lo.ln();
-    let step = (hi.ln() - log_lo) / n as f64;
-    let mut best_w = lo;
-    let mut best = mag(lo);
-    for i in 0..=n {
-        let w = (log_lo + step * i as f64).exp();
-        let m = mag(w);
-        if m > best {
-            best = m;
-            best_w = w;
-        }
+    LogGrid::around(omega_hint).peak(r, l, c)
+}
+
+/// The 4001-point log-spaced frequency grid, `0.05 w .. 5 w`, that the
+/// peak search scans before refining.
+struct LogGrid {
+    lo: f64,
+    step: f64,
+    omegas: Vec<f64>,
+}
+
+impl LogGrid {
+    fn around(omega_hint: f64) -> LogGrid {
+        let lo = omega_hint * 0.05;
+        let hi = omega_hint * 5.0;
+        let n = 4000;
+        let log_lo = lo.ln();
+        let step = (hi.ln() - log_lo) / n as f64;
+        let omegas = (0..=n).map(|i| (log_lo + step * i as f64).exp()).collect();
+        LogGrid { lo, step, omegas }
     }
-    // Golden-section refinement around the best grid point.
-    let mut a = best_w * (-2.0 * step).exp();
-    let mut b = best_w * (2.0 * step).exp();
-    let phi = 0.618_033_988_749_894_8;
-    let mut c1 = b - phi * (b - a);
-    let mut c2 = a + phi * (b - a);
-    let mut f1 = mag(c1);
-    let mut f2 = mag(c2);
-    for _ in 0..120 {
-        if f1 < f2 {
-            a = c1;
-            c1 = c2;
-            f1 = f2;
-            c2 = a + phi * (b - a);
-            f2 = mag(c2);
-        } else {
-            b = c2;
-            c2 = c1;
-            f2 = f1;
-            c1 = b - phi * (b - a);
-            f1 = mag(c1);
+
+    /// `max_w |Z(jw)|` for the network (R, L, C).
+    fn peak(&self, r: f64, l: f64, c: f64) -> f64 {
+        let mag = |w: f64| impedance_magnitude(r, l, c, w);
+        let step = self.step;
+        let mut best_w = self.lo;
+        let mut best = mag(self.lo);
+        for &w in &self.omegas {
+            let m = mag(w);
+            if m > best {
+                best = m;
+                best_w = w;
+            }
         }
+        // Golden-section refinement around the best grid point.
+        let mut a = best_w * (-2.0 * step).exp();
+        let mut b = best_w * (2.0 * step).exp();
+        let phi = 0.618_033_988_749_894_8;
+        let mut c1 = b - phi * (b - a);
+        let mut c2 = a + phi * (b - a);
+        let mut f1 = mag(c1);
+        let mut f2 = mag(c2);
+        for _ in 0..120 {
+            if f1 < f2 {
+                a = c1;
+                c1 = c2;
+                f1 = f2;
+                c2 = a + phi * (b - a);
+                f2 = mag(c2);
+            } else {
+                b = c2;
+                c2 = c1;
+                f2 = f1;
+                c1 = b - phi * (b - a);
+                f1 = mag(c1);
+            }
+        }
+        mag(0.5 * (a + b)).max(best)
     }
-    mag(0.5 * (a + b)).max(best)
 }
 
 /// `|Z(jw)|` for the series-RL / shunt-C network.
