@@ -3,10 +3,10 @@
 //!
 //! The build environment has no registry access, so `proptest` and
 //! `quickcheck` are unavailable; until now every equivalence claim in the
-//! hot path (direct vs. FFT vs. streaming convolution, incremental vs.
-//! recompute kernels, cached vs. fresh threshold solves) was guarded by
-//! hand-rolled seeded loops that neither shrink failures nor remember
-//! them. This crate is the in-tree replacement:
+//! hot path (convolution vs. state-space voltages, cached vs. fresh
+//! threshold solves) was guarded by hand-rolled seeded loops that
+//! neither shrink failures nor remember them. This crate is the in-tree
+//! replacement:
 //!
 //! * **[`gen`]** — composable generators ([`Gen`]) for scalars, vectors,
 //!   and tuples, each carrying its own shrinking strategy (integer
@@ -19,8 +19,9 @@
 //! * **[`persist`]** — failure-seed persistence to
 //!   `results/check/failures.jsonl`: red seeds are replayed *first* on
 //!   the next run, so CI and local reruns go straight to the regression;
-//! * **[`json`]** — a minimal JSON reader for validating machine-readable
-//!   artifacts (`BENCH_*.json`, telemetry snapshots) without serde;
+//! * **[`json`]** — the minimal JSON reader from `voltctl-telemetry`,
+//!   re-exported for validating machine-readable artifacts
+//!   (`BENCH_*.json`, telemetry snapshots) without serde;
 //! * **[`diff`]** — a minimal line-level diff, shared with the golden
 //!   snapshot harness in `voltctl-exp`.
 //!
@@ -51,7 +52,6 @@
 
 pub mod diff;
 pub mod gen;
-pub mod json;
 pub mod persist;
 pub mod runner;
 
@@ -60,9 +60,9 @@ pub use gen::{
     f64_bits, f64_in, from_fn, i64_in, just, map, usize_in, vec_f64, vec_of, FnGen, Gen, Just,
     MappedGen, VecGen,
 };
-pub use json::Json;
 pub use persist::{default_dir, FailureRecord};
 pub use runner::{check, Config};
+pub use voltctl_telemetry::json::{self, Json};
 
 /// Early-returns `Err(format!(...))` from a property when a condition
 /// fails — the property-style replacement for `assert!` that keeps

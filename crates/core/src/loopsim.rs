@@ -716,30 +716,9 @@ impl<R: Recorder, T: Tracer> ControlLoop<R, T> {
         &self.recorder
     }
 
-    /// The attached telemetry recorder, mutably (e.g. to register
-    /// histogram buckets before running).
-    pub fn recorder_mut(&mut self) -> &mut R {
-        &mut self.recorder
-    }
-
-    /// Consumes the loop, returning its recorder.
-    pub fn into_recorder(self) -> R {
-        self.recorder
-    }
-
     /// The attached cycle tracer.
     pub fn tracer(&self) -> &T {
         &self.tracer
-    }
-
-    /// The attached cycle tracer, mutably.
-    pub fn tracer_mut(&mut self) -> &mut T {
-        &mut self.tracer
-    }
-
-    /// Consumes the loop, returning its tracer.
-    pub fn into_tracer(self) -> T {
-        self.tracer
     }
 
     /// Consumes the loop, returning its recorder and tracer together.

@@ -1,6 +1,5 @@
 //! The reference machine and the shared evaluation helpers every
-//! scenario builds on (hoisted from the old `voltctl-bench` library so
-//! there is exactly one copy):
+//! scenario builds on:
 //!
 //! * the standard power model, machine configuration, and the calibrated
 //!   supply network at any percent of target impedance (memoized —
@@ -22,6 +21,7 @@ use voltctl_power::{PowerModel, PowerParams};
 use voltctl_telemetry::MemoryRecorder;
 use voltctl_workloads::{spec, stressmark, trace, Workload};
 
+use crate::cache::{CacheStats, ShardedLru};
 use crate::engine::{BatchLane, Ctx};
 
 /// The standard power model (paper's 3 GHz / 1.0 V budget).
@@ -113,7 +113,7 @@ pub fn variable_eight() -> Vec<Workload> {
 /// Solves thresholds for a scope/delay at a given impedance percent.
 ///
 /// Solutions are memoized per process in a bounded
-/// [`ShardedLru`](voltctl_pdn::ShardedLru), keyed by `(scope, delay,
+/// [`ShardedLru`](crate::cache::ShardedLru), keyed by `(scope, delay,
 /// percent)`: a controller sweep evaluates every workload at the same
 /// handful of configurations, and without the cache each grid cell would
 /// re-run the worst-case adversary search (hundreds of replay
@@ -128,7 +128,7 @@ pub fn variable_eight() -> Vec<Workload> {
 ///
 /// Propagates solver errors ([`ControlError::Unstable`] in particular).
 type SolveKey = (ActuationScope, u32, u64);
-type SolveCache = voltctl_pdn::ShardedLru<SolveKey, Result<Thresholds, ControlError>>;
+type SolveCache = ShardedLru<SolveKey, Result<Thresholds, ControlError>>;
 
 /// The process-wide threshold-solution memo (4 shards × 32 entries).
 fn solve_cache() -> &'static SolveCache {
@@ -178,9 +178,8 @@ pub fn solve_cache_capacity() -> usize {
 }
 
 /// Live hit/miss/eviction/residency stats for the threshold-solution
-/// memo (the serve daemon surfaces these at `/metrics` alongside the
-/// kernel cache's).
-pub fn solve_cache_stats() -> voltctl_pdn::CacheStats {
+/// memo (the serve daemon surfaces these at `/metrics`).
+pub fn solve_cache_stats() -> CacheStats {
     solve_cache().stats()
 }
 

@@ -13,11 +13,9 @@
 //! voltctl-exp run table2_emergencies --jobs 8
 //! voltctl-exp run --all --smoke
 //! ```
-//!
-//! The old `cargo run -p voltctl-bench --bin <id>` binaries remain as
-//! deprecated shims over [`shim::run`].
 
 pub mod bench;
+pub mod cache;
 pub mod engine;
 pub mod golden;
 pub mod harness;
@@ -27,12 +25,12 @@ pub mod report;
 pub mod scale;
 pub mod scenarios;
 pub mod shard;
-pub mod shim;
 pub mod snapshot;
 pub mod telemetry;
 pub mod trace;
 
 pub use bench::{BenchOpts, BenchPoint, BenchSuite};
+pub use cache::{CacheStats, ShardedLru};
 pub use engine::{
     assemble_run, default_jobs, run_cells, run_scenario, run_scenario_profiled, CellResult, Ctx,
     RunOutput, Runtime, Scenario, TraceSpec,

@@ -8,8 +8,7 @@
 //! voltctl-exp run --all [same flags]
 //! voltctl-exp trace <id>... [--window W] [--out DIR] [--jobs N]
 //!                           [--scale X] [--smoke] [--min-captures N]
-//! voltctl-exp bench [--smoke] [--out DIR] [--suite pdn|loop]
-//!                   [--compare OLD] [--tolerance FRAC]
+//! voltctl-exp bench [--smoke] [--out DIR] [--compare OLD] [--tolerance FRAC]
 //! voltctl-exp golden [--bless] [--jobs N] [--dir DIR] [id...]
 //! voltctl-exp snapshot inspect <file>...
 //! ```
@@ -32,8 +31,8 @@ USAGE:
     voltctl-exp run <id>... [OPTIONS]
     voltctl-exp run --all [OPTIONS]
     voltctl-exp trace <id>... [TRACE OPTIONS]
-    voltctl-exp bench [--smoke] [--out <DIR>] [--suite <pdn|loop>]
-                      [--compare <OLD>] [--tolerance <FRAC>]
+    voltctl-exp bench [--smoke] [--out <DIR>] [--compare <OLD>]
+                      [--tolerance <FRAC>]
     voltctl-exp golden [--bless] [--jobs <N>] [--dir <DIR>] [<id>...]
     voltctl-exp snapshot inspect <file>...
 
@@ -77,11 +76,9 @@ TRACE OPTIONS:
 BENCH OPTIONS:
     --smoke               tiny iteration budgets (CI plumbing check)
     --out <DIR>           artifact directory (default: results/perf);
-                          writes BENCH_pdn.json and BENCH_loop.json
-    --suite <pdn|loop>    run only one suite (regenerate one baseline
-                          without paying for the other)
-    --compare <OLD>       diff against a prior baseline: a BENCH_*.json
-                          file or a directory holding one per suite;
+                          writes BENCH_loop.json
+    --compare <OLD>       diff against a prior baseline: a BENCH_loop.json
+                          file or a directory holding one;
                           prints per-point throughput deltas and exits
                           nonzero on any regression past the tolerance
     --tolerance <FRAC>    allowed fractional throughput drop under
@@ -542,20 +539,6 @@ fn cmd_bench(args: &[String]) {
                             .clone()
                     });
                 opts.out = PathBuf::from(raw);
-            }
-            "--suite" => {
-                let raw = arg
-                    .strip_prefix("--suite=")
-                    .map(str::to_string)
-                    .unwrap_or_else(|| {
-                        it.next()
-                            .unwrap_or_else(|| fail("--suite needs a value"))
-                            .clone()
-                    });
-                if !["pdn", "loop"].contains(&raw.as_str()) {
-                    fail(&format!("unknown bench suite {raw:?} (pdn, loop)"));
-                }
-                opts.suite = Some(raw);
             }
             "--compare" => {
                 let raw = arg

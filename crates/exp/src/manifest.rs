@@ -43,13 +43,10 @@ pub fn schema_versions() -> Vec<(&'static str, u64)> {
 /// The process-fixed seeds a run depends on: reproducing an artifact
 /// needs these (plus the command line) and nothing else.
 pub fn default_seeds() -> Vec<(&'static str, u64)> {
-    vec![
-        (
-            "sensor.noise",
-            voltctl_core::sensor::SensorConfig::default().seed,
-        ),
-        ("bench.trace", 0x9e3779b97f4a7c15),
-    ]
+    vec![(
+        "sensor.noise",
+        voltctl_core::sensor::SensorConfig::default().seed,
+    )]
 }
 
 /// A provenance record under construction. Build with the setters, add

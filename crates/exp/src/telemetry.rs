@@ -62,30 +62,6 @@ pub fn default_out_dir() -> PathBuf {
     PathBuf::from(export::DEFAULT_OUT_DIR)
 }
 
-/// Extracts `--telemetry-out <dir>` / `--telemetry-out=<dir>` from an
-/// argument list; falls back to the default directory. (Used by the
-/// deprecated per-figure shim binaries; the `voltctl-exp` CLI parses
-/// the flag itself.)
-pub fn out_dir_from_args<I, S>(args: I) -> PathBuf
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let arg = arg.as_ref();
-        if let Some(dir) = arg.strip_prefix("--telemetry-out=") {
-            return PathBuf::from(dir);
-        }
-        if arg == "--telemetry-out" {
-            if let Some(dir) = args.next() {
-                return PathBuf::from(dir.as_ref());
-            }
-        }
-    }
-    default_out_dir()
-}
-
 /// Exports a run's merged telemetry according to `mode`: a stderr
 /// digest always, plus one snapshot file under `out_dir` per the mode
 /// (summary text, JSONL, or CSV). Returns the paths written, so the
@@ -127,24 +103,5 @@ mod tests {
         assert_eq!(parse_mode("json"), Mode::Jsonl);
         assert_eq!(parse_mode("csv"), Mode::Csv);
         assert_eq!(parse_mode("bogus"), Mode::Off, "unknown values disable");
-    }
-
-    #[test]
-    fn out_dir_parses_args() {
-        let none: [&str; 0] = [];
-        assert_eq!(out_dir_from_args(none), default_out_dir());
-        assert_eq!(
-            out_dir_from_args(["--telemetry-out", "/tmp/t"]),
-            PathBuf::from("/tmp/t")
-        );
-        assert_eq!(
-            out_dir_from_args(["x", "--telemetry-out=/tmp/u", "y"]),
-            PathBuf::from("/tmp/u")
-        );
-        assert_eq!(
-            out_dir_from_args(["--telemetry-out"]),
-            default_out_dir(),
-            "dangling flag falls back"
-        );
     }
 }

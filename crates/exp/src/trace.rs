@@ -72,7 +72,7 @@ pub struct TraceArtifacts {
 /// cannot be written.
 pub fn export(out_dir: &Path, id: &str, merged: &MergedTrace) -> Result<TraceArtifacts, String> {
     let json = voltctl_trace::to_chrome_trace(id, merged);
-    voltctl_check::Json::parse(&json)
+    voltctl_telemetry::Json::parse(&json)
         .map_err(|e| format!("generated trace JSON for {id} does not parse: {e}"))?;
     let report = forensics(merged).render(id);
 

@@ -16,15 +16,14 @@
 //! * an exact zero-order-hold discretization ([`PdnModel::discretize`])
 //!   yielding a streaming per-cycle simulator ([`state_space::PdnState`]),
 //! * impulse/step responses and their metrics ([`response`]),
-//! * a reference FIR convolution engine ([`convolve`]) that is
-//!   property-tested to agree with the state-space path.
+//! * a direct FIR convolution reference ([`convolve`]) that the oracle
+//!   tests check the state-space path against.
 //!
 //! Supporting modules provide the current-waveform builders used by the
 //! paper's intuition figures ([`waveform`]), supply-voltage emergency
 //! detection and histograms ([`emergency`]), spectrum analysis used by the
 //! dI/dt stressmark auto-tuner ([`spectrum`]), the ITRS-2001 impedance-trend
-//! data behind the paper's Figure 1 ([`itrs`]), a process-wide memoization
-//! of derived convolution kernels ([`cache`]), and a multi-quadrant
+//! data behind the paper's Figure 1 ([`itrs`]), and a multi-quadrant
 //! extension of the model ([`grid`]).
 //!
 //! # Example
@@ -54,7 +53,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod convolve;
 pub mod emergency;
 pub mod grid;
@@ -69,7 +67,6 @@ pub mod state_space;
 pub mod supply;
 pub mod waveform;
 
-pub use cache::{cached_kernel_for, kernel_cache_stats, CacheStats, ShardedLru};
 pub use emergency::{EmergencyReport, VoltageHistogram, VoltageMonitor};
 pub use response::{FrequencyResponse, ResponseMetrics, StepResponse};
 pub use second_order::{PdnError, PdnModel, PdnModelBuilder};

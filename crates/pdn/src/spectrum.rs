@@ -49,8 +49,7 @@ impl Complex {
     }
 }
 
-/// Complex product (used by the FFT butterflies and the frequency-domain
-/// convolution in [`crate::convolve`]).
+/// Complex product (used by the FFT butterflies).
 impl std::ops::Mul for Complex {
     type Output = Complex;
 
@@ -102,25 +101,6 @@ pub fn fft(data: &mut [Complex]) {
             i += len;
         }
         len <<= 1;
-    }
-}
-
-/// In-place inverse radix-2 FFT, normalized so `ifft(fft(x)) == x` up to
-/// rounding. Implemented by the conjugation identity
-/// `ifft(X) = conj(fft(conj(X))) / n`, reusing the forward butterflies.
-///
-/// # Panics
-///
-/// Panics unless the input length is a power of two (and at least 1).
-pub fn ifft(data: &mut [Complex]) {
-    for c in data.iter_mut() {
-        c.im = -c.im;
-    }
-    fft(data);
-    let scale = 1.0 / data.len() as f64;
-    for c in data.iter_mut() {
-        c.re *= scale;
-        c.im *= -scale;
     }
 }
 
@@ -225,31 +205,6 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(peak, k);
-    }
-
-    #[test]
-    fn ifft_inverts_fft() {
-        let n = 64;
-        let signal: Vec<Complex> = (0..n)
-            .map(|t| Complex::new(((t * 13) % 7) as f64 - 3.0, ((t * 5) % 11) as f64))
-            .collect();
-        let mut buf = signal.clone();
-        fft(&mut buf);
-        ifft(&mut buf);
-        for (a, b) in signal.iter().zip(&buf) {
-            assert!((a.re - b.re).abs() < 1e-12, "{} vs {}", a.re, b.re);
-            assert!((a.im - b.im).abs() < 1e-12, "{} vs {}", a.im, b.im);
-        }
-    }
-
-    #[test]
-    fn ifft_of_flat_spectrum_is_impulse() {
-        let mut data = vec![Complex::new(1.0, 0.0); 16];
-        ifft(&mut data);
-        assert!((data[0].re - 1.0).abs() < 1e-12);
-        for c in &data[1..] {
-            assert!(c.norm() < 1e-12);
-        }
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Differential-oracle suite for the convolution gears.
+//! Differential oracle: direct convolution against the state-space
+//! stepper.
 //!
-//! The workspace carries three independent implementations of the same
-//! mathematical object — direct convolution, overlap-save FFT
-//! convolution, and the streaming ring-buffer convolver — plus the
-//! state-space stepper they all approximate. Any disagreement between
-//! them is a bug in exactly one of them, which makes cross-checking on
-//! random inputs a complete oracle: no expected values need to be
-//! hand-computed, and a failure shrinks to a minimal kernel/trace pair
-//! that pinpoints the divergence (a ring-mask off-by-one in `Convolver`
-//! shrinks to a trace of a handful of samples).
+//! The simulator computes supply voltage with one path, the exact
+//! zero-order-hold stepper ([`voltctl_pdn::PdnState`]). The paper's own
+//! method, convolving the current trace with the network's pulse
+//! response, is kept as an independent reference: the two share no code
+//! past the model, so agreement on random traces checks the stepper
+//! without hand-computed expected values, and a failure shrinks to a
+//! short trace that pinpoints the divergence.
 
 use voltctl_check::{check, ensure, f64_in, i64_in, vec_f64, Config};
-use voltctl_pdn::cache::cached_kernel_for;
-use voltctl_pdn::convolve::{convolve_full, convolve_full_fft, kernel_for, Convolver};
+use voltctl_pdn::convolve::{convolve_full, kernel_for};
 use voltctl_pdn::PdnModel;
 
 /// |x - y| <= tol * max(1, |x|, |y|): relative on large signals, absolute
@@ -34,67 +32,11 @@ fn ensure_all_close(a: &[f64], b: &[f64], tol: f64, what: &str) -> Result<(), St
     Ok(())
 }
 
-/// The three gears must agree on arbitrary signed kernels and arbitrary
-/// traces — not just physical PDN kernels. Failures shrink toward a
-/// short kernel and a near-empty trace.
+/// Direct convolution tracks the state-space reference on a
+/// tolerance-derived kernel — the property the convolution path exists to
+/// uphold.
 #[test]
-fn gears_agree_on_random_kernels_and_traces() {
-    let gen = (
-        vec_f64(1, 48, -1e-3, 1e-3), // kernel taps, signed
-        vec_f64(0, 160, 0.0, 60.0),  // current trace (amps)
-    );
-    check(
-        "oracle.convolution.gears-agree",
-        &Config::cases(96, 0x0AC1),
-        &gen,
-        |(kernel, trace)| {
-            let direct = convolve_full(kernel, trace, 1.0);
-            let fft = convolve_full_fft(kernel, trace, 1.0);
-            ensure_all_close(&direct, &fft, 1e-9, "direct vs fft")?;
-            let mut conv = Convolver::new(kernel.clone(), 1.0);
-            let streamed: Vec<f64> = trace.iter().map(|&i| conv.step(i)).collect();
-            ensure_all_close(&direct, &streamed, 1e-9, "direct vs streaming")?;
-            Ok(())
-        },
-    );
-}
-
-/// The streaming convolver's ring survives arbitrary interleavings of
-/// `step` and `reset` — after a reset it must behave exactly like a
-/// fresh convolver on the remaining trace.
-#[test]
-fn streaming_reset_equals_fresh_start() {
-    let gen = (
-        vec_f64(1, 24, -1e-3, 1e-3),
-        vec_f64(1, 96, 0.0, 60.0),
-        f64_in(0.0, 1.0), // where in the trace to reset
-    );
-    check(
-        "oracle.convolution.reset-equals-fresh",
-        &Config::cases(64, 0x0AC2),
-        &gen,
-        |(kernel, trace, frac)| {
-            let cut = ((trace.len() as f64) * frac) as usize;
-            let mut warm = Convolver::new(kernel.clone(), 1.0);
-            for &i in &trace[..cut.min(trace.len())] {
-                warm.step(i);
-            }
-            warm.reset();
-            let mut fresh = Convolver::new(kernel.clone(), 1.0);
-            for (n, &i) in trace.iter().enumerate() {
-                let a = warm.step(i);
-                let b = fresh.step(i);
-                ensure!(a == b, "cycle {n} after reset: {a} vs {b}");
-            }
-            Ok(())
-        },
-    );
-}
-
-/// Every gear tracks the state-space reference on a tolerance-derived
-/// kernel — the property the convolution path exists to uphold.
-#[test]
-fn gears_track_the_state_space_reference() {
+fn direct_convolution_tracks_the_state_space_reference() {
     let model = PdnModel::paper_default().unwrap();
     let kernel = kernel_for(&model, 1e-10);
     let gen = vec_f64(1, 400, 0.0, 60.0);
@@ -106,64 +48,14 @@ fn gears_track_the_state_space_reference() {
             let mut ss = model.discretize();
             let exact: Vec<f64> = trace.iter().map(|&i| ss.step(i)).collect();
             let direct = convolve_full(&kernel, trace, model.v_nominal());
-            ensure_all_close(&exact, &direct, 1e-7, "state-space vs direct")?;
-            let fft = convolve_full_fft(&kernel, trace, model.v_nominal());
-            ensure_all_close(&exact, &fft, 1e-7, "state-space vs fft")?;
-            let mut conv = Convolver::new(kernel.clone(), model.v_nominal());
-            let streamed: Vec<f64> = trace.iter().map(|&i| conv.step(i)).collect();
-            ensure_all_close(&exact, &streamed, 1e-7, "state-space vs streaming")?;
-            Ok(())
+            ensure_all_close(&exact, &direct, 1e-7, "state-space vs direct")
         },
     );
 }
 
-/// A cache hit must hand back taps bitwise identical to a fresh
-/// derivation for the same (model, tolerance) — the cache may never
-/// substitute "close enough" taps for the real thing.
-#[test]
-fn cached_kernels_are_bitwise_identical_to_fresh_derivation() {
-    let base = PdnModel::paper_default().unwrap();
-    let gen = (
-        f64_in(0.6, 4.0), // impedance scale
-        i64_in(3, 10),    // rel_tol exponent: 1e-3 .. 1e-9
-    );
-    check(
-        "oracle.kernel.cache-bitwise",
-        &Config::cases(48, 0x0AC4),
-        &gen,
-        |&(scale, exponent)| {
-            let model = base
-                .scaled(scale)
-                .map_err(|e| format!("scaled({scale}): {e}"))?;
-            let rel_tol = 10f64.powi(-(exponent as i32));
-            let fresh = kernel_for(&model, rel_tol);
-            let cached = cached_kernel_for(&model, rel_tol);
-            ensure!(
-                cached.len() == fresh.len(),
-                "scale {scale} tol {rel_tol}: cached {} taps vs fresh {}",
-                cached.len(),
-                fresh.len()
-            );
-            for (k, (&c, &f)) in cached.iter().zip(&fresh).enumerate() {
-                ensure!(
-                    c.to_bits() == f.to_bits(),
-                    "scale {scale} tol {rel_tol}: tap {k} differs: {c} vs {f}"
-                );
-            }
-            // And a second lookup must be a true hit on the same taps.
-            let again = cached_kernel_for(&model, rel_tol);
-            ensure!(
-                std::sync::Arc::ptr_eq(&cached, &again),
-                "second lookup re-derived instead of hitting"
-            );
-            Ok(())
-        },
-    );
-}
-
-/// The incremental kernel derivation must be invariant to the tolerance
-/// path taken to reach a length: a coarser-tolerance kernel is always a
-/// bitwise prefix of a finer one (same stepper, same samples).
+/// Kernel derivation must be invariant to the tolerance path taken to
+/// reach a length: a coarser-tolerance kernel is always a bitwise prefix
+/// of a finer one (same stepper, same samples).
 #[test]
 fn coarse_kernels_are_prefixes_of_fine_kernels() {
     let base = PdnModel::paper_default().unwrap();

@@ -12,7 +12,7 @@
 //! of latency percentiles (smoke jobs are too short for the ratio to
 //! mean anything — HTTP round-trips dominate microsecond simulations).
 //!
-//! The artifact is `BENCH_serve.json` (schema 6, shared with the other
+//! The artifact is `BENCH_serve.json` (schema 7, shared with the other
 //! bench suites): a `serve` and a `batch` point whose `cycles` count
 //! grid cells completed — a work proxy that is identical on both sides
 //! by construction, making the aggregate cycles/sec ratio equal the
@@ -28,9 +28,9 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use voltctl_check::Json;
 use voltctl_exp::bench::DEFAULT_PERF_DIR;
 use voltctl_exp::{find, run_scenario, BenchPoint, BenchSuite, Ctx};
+use voltctl_telemetry::Json;
 use voltctl_telemetry::Rng;
 
 /// The seeded request mix: a spread of instant analytic scenarios and
@@ -221,7 +221,7 @@ pub fn run_bench(opts: &BenchOpts) -> Result<BenchReport, String> {
     };
 
     // Warm both sides' process-wide caches (calibration, threshold
-    // solves, kernel derivations, stressmark tuning) so neither side
+    // solves, stressmark tuning) so neither side
     // pays first-touch costs inside the measured window.
     let distinct: Vec<&str> = {
         let mut seen = Vec::new();
@@ -298,7 +298,6 @@ pub fn run_bench(opts: &BenchOpts) -> Result<BenchReport, String> {
     let ratio = batch_ns / serve_ns;
     let point = |path: &'static str, wall_ns: f64| BenchPoint {
         path,
-        kernel_taps: 0,
         cycles: cells_total,
         wall_ns,
         best_ns: wall_ns,

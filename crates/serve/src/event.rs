@@ -29,7 +29,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
-use voltctl_check::json::escape;
+use voltctl_telemetry::json::escape;
 
 /// Event severity. `Debug` is file-only; `Info` and up also mirror to
 /// stderr in human-readable form.
@@ -195,7 +195,7 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voltctl_check::Json;
+    use voltctl_telemetry::Json;
 
     #[test]
     fn emits_parseable_jsonl_with_ordered_fields() {

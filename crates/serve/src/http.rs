@@ -303,7 +303,7 @@ impl Response {
             status,
             format!(
                 "{{\"error\":{},\"status\":{status}}}",
-                voltctl_check::json::escape(detail)
+                voltctl_telemetry::json::escape(detail)
             ),
         )
     }

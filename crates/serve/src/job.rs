@@ -30,10 +30,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use voltctl_check::json::escape;
-use voltctl_check::Json;
 use voltctl_exp::telemetry::Mode;
 use voltctl_exp::{Ctx, TraceSpec};
+use voltctl_telemetry::json::escape;
+use voltctl_telemetry::Json;
 
 /// Everything a client can ask for on one job: the scenario plus the
 /// options the `voltctl-exp run` CLI exposes.
@@ -713,11 +713,6 @@ impl JobTable {
     pub fn shutdown(&self) {
         self.lock().shutdown = true;
         self.changed.notify_all();
-    }
-
-    /// Whether [`shutdown`](JobTable::shutdown) has been called.
-    pub fn is_shutdown(&self) -> bool {
-        self.lock().shutdown
     }
 }
 

@@ -146,7 +146,7 @@ fn execute(table: &JobTable, cfg: &RunnerConfig, claimed: &Claimed) -> JobOutcom
                 "{{\"job\":{id},\"event\":\"shard\",\"shard\":{i},\"shards\":{shard_count},\
                  \"cells_done\":{},\"cells_total\":{total},\"resumed\":{resumed},\"req\":{}}}",
                 results.len(),
-                voltctl_check::json::escape(&claimed.request_id)
+                voltctl_telemetry::json::escape(&claimed.request_id)
             ),
             results.len(),
         );

@@ -283,8 +283,7 @@ pub fn render_frame(exp: &Exposition, addr: &SocketAddr) -> String {
         state("cancelled"),
     ));
     out.push_str(&format!(
-        "caches    kernel hit {kernel:>4}   solve hit {solve:>6}\n",
-        kernel = hit_rate(exp, "kernel"),
+        "caches    solve hit {solve:>6}\n",
         solve = hit_rate(exp, "solve"),
     ));
     out

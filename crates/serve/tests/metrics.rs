@@ -79,6 +79,18 @@ fn metrics_exposition_and_event_log_cover_a_job_lifecycle() {
         });
         assert!(present, "family {family} has no samples:\n{body}");
     }
+    // Every cache series is labeled with the solve memo, the only
+    // process-wide cache.
+    let cache_labels: std::collections::BTreeSet<&str> = exp
+        .samples
+        .iter()
+        .filter_map(|s| s.label("cache"))
+        .collect();
+    assert_eq!(
+        cache_labels.into_iter().collect::<Vec<_>>(),
+        ["solve"],
+        "the cache label set must be exactly {{solve}}"
+    );
     // The one finished job is visible in the accumulated counters.
     assert!(exp.sum("voltctl_serve_jobs_submitted_total", |_| true) >= 1.0);
     assert!(exp.sum("voltctl_http_requests_total", |_| true) >= 2.0);
@@ -104,15 +116,25 @@ fn metrics_exposition_and_event_log_cover_a_job_lifecycle() {
     for key in ["workers", "workers_busy", "caches", "event_log"] {
         assert!(verbose.get(key).is_some(), "verbose stats must carry {key}");
     }
-    for cache in ["kernel", "solve"] {
-        let stats = verbose.get("caches").and_then(|c| c.get(cache));
-        let stats = stats.unwrap_or_else(|| panic!("caches must report {cache}"));
-        for key in ["hits", "misses", "evictions", "len", "capacity"] {
-            assert!(
-                stats.get(key).and_then(Json::as_f64).is_some(),
-                "cache {cache} must report numeric {key}"
-            );
-        }
+    // The threshold-solve memo is the only process-wide cache.
+    let caches = verbose
+        .get("caches")
+        .expect("verbose stats must carry caches");
+    let Json::Obj(fields) = caches else {
+        panic!("caches must be an object: {caches:?}")
+    };
+    let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        names,
+        ["solve"],
+        "caches must report exactly the solve memo"
+    );
+    let stats = caches.get("solve").unwrap();
+    for key in ["hits", "misses", "evictions", "len", "capacity"] {
+        assert!(
+            stats.get(key).and_then(Json::as_f64).is_some(),
+            "solve cache must report numeric {key}"
+        );
     }
 
     // -- Request id threads from accept to terminal state. ------------

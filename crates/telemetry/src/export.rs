@@ -32,36 +32,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Inverse of [`json_escape`]. Returns `None` on malformed escapes —
-/// exists so round-tripping is testable without a JSON parser.
-pub fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 /// Quotes a CSV field per RFC 4180 when it contains a comma, quote, or
 /// newline; passes it through otherwise.
 pub fn csv_escape(s: &str) -> String {
@@ -433,16 +403,9 @@ mod tests {
         ] {
             let escaped = json_escape(s);
             assert!(!escaped.contains('\n'), "escaped form must be single-line");
-            assert_eq!(json_unescape(&escaped).as_deref(), Some(s));
+            let parsed = crate::json::Json::parse(&format!("\"{escaped}\""));
+            assert_eq!(parsed.as_ref().ok().and_then(|j| j.as_str()), Some(s));
         }
-    }
-
-    #[test]
-    fn json_unescape_rejects_malformed() {
-        assert_eq!(json_unescape("trailing\\"), None);
-        assert_eq!(json_unescape("\\q"), None);
-        assert_eq!(json_unescape("\\u12"), None);
-        assert_eq!(json_unescape("\\ud800"), None, "lone surrogate");
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //!   environment has no registry access, so this replaces the `rand`
 //!   crate everywhere (sensor noise, workload shuffling, property-style
 //!   tests).
+//! * [`json`] — the minimal JSON reader matching the hand-rolled
+//!   writers in [`export`].
 //! * [`stopwatch`] — wall-clock spans and a tiny micro-benchmark harness
-//!   used by the `cargo bench` targets in `crates/bench`.
+//!   used by `voltctl-exp bench`.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@
 pub mod collector;
 pub mod export;
 pub mod intern;
+pub mod json;
 pub mod memory;
 pub mod recorder;
 pub mod registry;
@@ -57,6 +60,7 @@ pub mod snapshot;
 pub mod stopwatch;
 
 pub use collector::Collector;
+pub use json::Json;
 pub use memory::MemoryRecorder;
 pub use recorder::{HistogramData, Level, MetricId, NullRecorder, Recorder};
 pub use rng::Rng;

@@ -12,31 +12,13 @@
 //! a million-cycle run exports kilobytes, not gigabytes. Overlapping
 //! pre-windows (crossings closer than W cycles) are deduplicated so the
 //! `ts` sequence of every counter track is strictly increasing —
-//! property-tested via the `voltctl-check` JSON reader.
+//! property-tested via the `voltctl-telemetry` JSON reader.
 
 use std::fmt::Write as _;
 
 use crate::flight::{CellTrace, MergedTrace};
 use crate::record::events;
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use voltctl_telemetry::export::json_escape;
 
 /// JSON number rendering; non-finite values (which the simulator should
 /// never produce) degrade to `0` so the artifact always parses.
@@ -52,7 +34,7 @@ fn push_cell_events(out: &mut Vec<String>, pid: usize, cell: &CellTrace) {
     out.push(format!(
         "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"ts\":0,\"name\":\"process_name\",\
          \"args\":{{\"name\":\"cell {pid}: {}\"}}}}",
-        escape(&cell.label)
+        json_escape(&cell.label)
     ));
 
     // Counter tracks over the union of capture windows, deduplicating
@@ -122,7 +104,7 @@ pub fn to_chrome_trace(run: &str, merged: &MergedTrace) -> String {
     let _ = writeln!(
         s,
         "\"otherData\":{{\"generator\":\"voltctl-trace\",\"run\":\"{}\",\"ts_unit\":\"cycle\"}},",
-        escape(run)
+        json_escape(run)
     );
     let _ = writeln!(s, "\"traceEvents\":[");
     for (k, e) in events.iter().enumerate() {
